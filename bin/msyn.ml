@@ -65,7 +65,7 @@ let jobs_arg =
   Arg.(value & opt (some jobs_conv) None
        & info [ "jobs" ] ~docv:"N" ~env:jobs_env
            ~doc:"Worker domains for the parallel evaluation loops (corner sweeps, annealing \
-                 multi-starts, placement retries, frequency sweeps, batch jobs).  Defaults \
+                 multi-starts, frequency sweeps, batch jobs).  Defaults \
                  to $(b,MIXSYN_JOBS) or the machine's core count; results are identical at \
                  any value.  Must be at least 1.")
 

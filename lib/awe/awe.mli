@@ -8,7 +8,13 @@
 
     Moments are frequency-scaled before the Hankel solve to tame the
     notorious ill-conditioning; if the solve is still singular the order is
-    reduced until it succeeds. *)
+    reduced until it succeeds.
+
+    Every linear solve runs in place on a pooled {!Mixsyn_util.Fmat}
+    workspace.  A singular G is not a numerical accident the order fallback
+    could cure — the network has no moments — so it surfaces as
+    {!Mixsyn_util.Fmat.Singular} from {!moments}, {!of_network} and
+    {!of_circuit}; evaluators treat it as "no AWE model" for that sizing. *)
 
 type tf = {
   poles : Complex.t array;
@@ -22,7 +28,8 @@ val moments :
   count:int -> float array
 (** [moments ~g ~c ~b ~out ~count] returns m_0..m_{count-1} of the transfer
     from source vector [b] to unknown [out], where the network is
-    [(G + sC) x = b]. *)
+    [(G + sC) x = b].
+    @raise Mixsyn_util.Fmat.Singular when G is singular. *)
 
 val pade : float array -> order:int -> tf
 (** Match the given moments with [order] poles (order reduced on numerical
@@ -31,6 +38,9 @@ val pade : float array -> order:int -> tf
 val of_network :
   g:float array array -> c:float array array -> b:float array -> out:int ->
   order:int -> tf
+(** [pade] of the network's first [2 * order] moments.
+    @raise Mixsyn_util.Fmat.Singular when G is singular.
+    @raise Failure when even order 1 fails. *)
 
 val of_circuit :
   ?tech:Mixsyn_circuit.Tech.t ->
@@ -39,7 +49,9 @@ val of_circuit :
   out:Mixsyn_circuit.Netlist.net ->
   order:int ->
   tf
-(** AWE of the linearised circuit seen from its AC sources. *)
+(** AWE of the linearised circuit seen from its AC sources.
+    @raise Mixsyn_util.Fmat.Singular when the circuit's G is singular.
+    @raise Failure when even order 1 fails. *)
 
 val eval : tf -> Complex.t -> Complex.t
 (** H(s) = sum residues/(s - poles). *)

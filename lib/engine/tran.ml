@@ -1,5 +1,5 @@
 module Netlist = Mixsyn_circuit.Netlist
-module Real = Mixsyn_util.Matrix.Real
+module Fmat = Mixsyn_util.Fmat
 
 type result = {
   times : float array;
@@ -7,15 +7,17 @@ type result = {
   tr_layout : Mna.layout;
 }
 
-(* Assemble the Newton system for one trapezoidal step.  [caps] carries the
-   linearised capacitances with their companion state (voltage and current at
-   the previous accepted timepoint). *)
-let assemble tech nl (layout : Mna.layout) x ~time ~caps ~geq =
-  let n = layout.Mna.size in
-  let a = Real.create n n in
-  let b = Array.make n 0.0 in
-  let v net = if net = Netlist.gnd then 0.0 else x.(Mna.node_index net) in
-  let stamp = Mna.stamp_real a and rhs = Mna.rhs_real b in
+let value_at x i = if i < 0 then 0.0 else x.(i)
+
+(* Stamp the Newton system for one trapezoidal step into the workspace.
+   The linearised capacitances enter as companion models with their state
+   (voltage and current at the previous accepted timepoint) in [v_prev] /
+   [i_prev]; [cap_a]/[cap_b] are their plates' unknown indices. *)
+let assemble tech elements (layout : Mna.layout) ws x ~time ~cap_a ~cap_b ~geq ~v_prev
+    ~i_prev =
+  Fmat.Real.clear ws;
+  let v net = value_at x (Mna.node_index net) in
+  let stamp = Fmat.Real.stamp ws and rhs = Fmat.Real.rhs ws in
   let branch = ref (layout.Mna.nets - 1) in
   let each = function
     | Netlist.Resistor { a = na; b = nb; ohms; _ } ->
@@ -75,50 +77,58 @@ let assemble tech nl (layout : Mna.layout) x ~time ~caps ~geq =
       rhs id (-.const);
       rhs is const
   in
-  List.iter each (Netlist.elements nl);
+  List.iter each elements;
   (* trapezoidal companion models: g_eq between the plates plus a history
      current source  I_eq = g_eq * v_prev + i_prev *)
-  Array.iteri
-    (fun k (na, nb, _c, v_prev, i_prev) ->
-      let ia = Mna.node_index na and ib = Mna.node_index nb in
-      let g = geq.(k) in
-      stamp ia ia g;
-      stamp ib ib g;
-      stamp ia ib (-.g);
-      stamp ib ia (-.g);
-      let ieq = (g *. v_prev) +. i_prev in
-      rhs ia ieq;
-      rhs ib (-.ieq))
-    caps;
+  for k = 0 to Array.length geq - 1 do
+    let ia = cap_a.(k) and ib = cap_b.(k) in
+    let g = geq.(k) in
+    stamp ia ia g;
+    stamp ib ib g;
+    stamp ia ib (-.g);
+    stamp ib ia (-.g);
+    let ieq = (g *. v_prev.(k)) +. i_prev.(k) in
+    rhs ia ieq;
+    rhs ib (-.ieq)
+  done;
   (* small gmin for numerical robustness *)
   for i = 0 to layout.Mna.nets - 2 do
-    a.(i).(i) <- a.(i).(i) +. 1e-9
-  done;
-  (a, b)
+    stamp i i 1e-9
+  done
 
 let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) nl op ~t_stop ~dt =
   let layout = op.Mna.op_layout in
   let n = layout.Mna.size in
-  let cap_list = Mna.linear_capacitors tech nl op |> List.filter (fun (a, b, c) -> a <> b && c > 0.0) in
-  let v_of x net = if net = Netlist.gnd then 0.0 else x.(Mna.node_index net) in
+  let elements = Netlist.elements nl in
   let caps =
-    Array.of_list
-      (List.map
-         (fun (a, b, c) -> (a, b, c, v_of op.Mna.x a -. v_of op.Mna.x b, 0.0))
-         cap_list)
+    Mna.linear_capacitors tech nl op
+    |> List.filter (fun (a, b, c) -> a <> b && c > 0.0)
+    |> Array.of_list
   in
-  let geq = Array.map (fun (_, _, c, _, _) -> 2.0 *. c /. dt) caps in
+  let cap_a = Array.map (fun (a, _, _) -> Mna.node_index a) caps in
+  let cap_b = Array.map (fun (_, b, _) -> Mna.node_index b) caps in
+  let geq = Array.map (fun (_, _, c) -> 2.0 *. c /. dt) caps in
+  let v_prev =
+    Array.init (Array.length caps) (fun k ->
+        value_at op.Mna.x cap_a.(k) -. value_at op.Mna.x cap_b.(k))
+  in
+  let i_prev = Array.make (Array.length caps) 0.0 in
   let steps = int_of_float (Float.ceil (t_stop /. dt)) in
   let times = Array.init (steps + 1) (fun k -> float_of_int k *. dt) in
   let samples = Array.make (steps + 1) [||] in
   samples.(0) <- Array.copy op.Mna.x;
   let x = Array.copy op.Mna.x in
+  let x_new = Array.make n 0.0 in
+  (* one pooled workspace takes every Newton iteration of every timestep:
+     stamped, factored and solved in place *)
+  Fmat.with_real n @@ fun ws ->
   for k = 1 to steps do
     let time = times.(k) in
-    (* Newton iterate at this timestep *)
-    let rec iterate count =
-      let a, b = assemble tech nl layout x ~time ~caps ~geq in
-      let x_new = Real.solve a b in
+    let count = ref 0 and iterating = ref true in
+    while !iterating do
+      assemble tech elements layout ws x ~time ~cap_a ~cap_b ~geq ~v_prev ~i_prev;
+      Fmat.Real.factor ws;
+      Fmat.Real.solve ws x_new;
       let max_delta = ref 0.0 in
       for i = 0 to n - 1 do
         max_delta := Float.max !max_delta (Float.abs (x_new.(i) -. x.(i)))
@@ -128,16 +138,14 @@ let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) nl op ~t_stop ~dt =
       for i = 0 to n - 1 do
         x.(i) <- x.(i) +. (scale *. (x_new.(i) -. x.(i)))
       done;
-      if !max_delta > 1e-9 && count < 50 then iterate (count + 1)
-    in
-    iterate 0;
+      if !max_delta > 1e-9 && !count < 50 then incr count else iterating := false
+    done;
     (* update companion state *)
-    Array.iteri
-      (fun i (na, nb, c, v_prev, i_prev) ->
-        let v_now = v_of x na -. v_of x nb in
-        let i_now = (geq.(i) *. (v_now -. v_prev)) -. i_prev in
-        caps.(i) <- (na, nb, c, v_now, i_now))
-      caps;
+    for i = 0 to Array.length geq - 1 do
+      let v_now = value_at x cap_a.(i) -. value_at x cap_b.(i) in
+      i_prev.(i) <- (geq.(i) *. (v_now -. v_prev.(i))) -. i_prev.(i);
+      v_prev.(i) <- v_now
+    done;
     samples.(k) <- Array.copy x
   done;
   { times; samples; tr_layout = layout }

@@ -19,6 +19,10 @@ val solve :
   t_stop:float ->
   dt:float ->
   result
+(** Samples at [k *. dt] for [k = 0 .. ceil (t_stop /. dt)], starting from
+    the operating point [op].  Every Newton iteration stamps, factors and
+    solves in place on one pooled {!Mixsyn_util.Fmat} workspace.
+    @raise Mixsyn_util.Fmat.Singular when a Newton system is singular. *)
 
 val voltage : result -> int -> Mixsyn_circuit.Netlist.net -> float
 

@@ -10,14 +10,20 @@ type metrics = Spec.performance
 let pulse_waveform tech config nl op ~use_transient =
   let out = Netlist.find_net nl "out" in
   if use_transient then begin
-    let tr = Mixsyn_engine.Tran.solve ~tech nl op ~t_stop:12e-6 ~dt:6e-9 in
-    let w = Mixsyn_engine.Tran.waveform tr out in
-    let v0 = snd w.(0) in
-    Some (Array.map (fun (t, v) -> (t, v -. v0)) w)
+    match Mixsyn_engine.Tran.solve ~tech nl op ~t_stop:12e-6 ~dt:6e-9 with
+    (* a sizing whose Newton system goes singular has no waveform: a failed
+       point for the optimizer, not a crash *)
+    | exception Mixsyn_util.Fmat.Singular _ -> None
+    | tr ->
+      let w = Mixsyn_engine.Tran.waveform tr out in
+      let v0 = snd w.(0) in
+      Some (Array.map (fun (t, v) -> (t, v -. v0)) w)
   end
   else begin
     match Mixsyn_awe.Awe.of_circuit ~tech nl op ~out ~order:8 with
-    | exception Failure _ -> None
+    (* no Padé approximant, or a singular G: no AWE model, so [measure]
+       falls back to the transient *)
+    | exception (Failure _ | Mixsyn_util.Fmat.Singular _) -> None
     | tf ->
       let tf = Mixsyn_awe.Awe.stable_part tf in
       if Array.length tf.Mixsyn_awe.Awe.poles = 0 then None
@@ -51,7 +57,6 @@ let measure ?(tech = Tech.generic_07um) ?(config = Detector.default_config)
   let nl = Detector.build ~config tech s in
   match Mixsyn_engine.Dc.solve ~tech nl with
   | exception Mixsyn_engine.Dc.No_convergence _ -> None
-  | exception Mixsyn_util.Matrix.Real.Singular _ -> None
   | op ->
     let waveform =
       match pulse_waveform tech config nl op ~use_transient with

@@ -1,12 +1,13 @@
 (* Flat allocation-free LU kernels.
 
-   Everything here mirrors the scalar-level operations of [Matrix.Make]
-   exactly: the same Doolittle elimination order, the same partial-pivot
-   comparison, stdlib [Complex]'s multiply, Smith's-algorithm divide and
-   [Float.hypot] magnitude — inlined on unboxed floats so a steady-state
-   factor/solve performs zero OCaml-heap allocation.  Keep the two in lock
-   step: the test suite asserts bit-for-bit equality against
-   [Matrix.Real]/[Matrix.Cplx], not closeness. *)
+   Everything here mirrors the scalar-level operations of the boxed
+   functorized LU kept as the test oracle ([test/matrix.ml]) exactly: the
+   same Doolittle elimination order, the same partial-pivot comparison,
+   stdlib [Complex]'s multiply, Smith's-algorithm divide and [Float.hypot]
+   magnitude — inlined on unboxed floats so a steady-state factor/solve
+   performs zero OCaml-heap allocation.  Keep the two in lock step: the
+   test suite asserts bit-for-bit equality against the oracle's
+   [Real]/[Cplx] instances, not closeness. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -14,7 +15,7 @@ exception Singular of int
 
 (* a pivot is acceptable when it clears [rel_tol] times the largest
    magnitude of its column in the original matrix; the absolute floor only
-   matters for all-zero columns.  [Matrix.Make.lu_factor] uses the same
+   matters for all-zero columns.  The oracle's [lu_factor] uses the same
    test so the two kernels classify identically. *)
 let rel_tol = 1e-14
 let abs_floor = 1e-300
@@ -70,8 +71,21 @@ module Real = struct
 
   let rhs ws i v = if i >= 0 then FA.set ws.b i (FA.get ws.b i +. v)
 
+  let set_rhs ws i v = FA.set ws.b i v
+
   let set ws i j v = A1.set ws.a ((i * ws.n) + j) v
   let get ws i j = A1.get ws.a ((i * ws.n) + j)
+
+  let load ws (m : float array array) =
+    let n = ws.n in
+    if Array.length m <> n then invalid_arg "Fmat.Real.load: not an n*n matrix";
+    for i = 0 to n - 1 do
+      let row = m.(i) in
+      if Array.length row <> n then invalid_arg "Fmat.Real.load: not an n*n matrix";
+      for j = 0 to n - 1 do
+        A1.unsafe_set ws.a ((i * n) + j) (Array.unsafe_get row j)
+      done
+    done
 
   let swap_rows ws r0 r1 =
     let a = ws.a and n = ws.n in
@@ -144,7 +158,7 @@ end
 
 (* stdlib [Complex] arithmetic on unboxed (re, im) pairs.  The operation
    bodies are transcriptions of complex.ml — change nothing without
-   changing [Matrix.Cplx_scalar] to match. *)
+   changing the oracle's [Cplx_scalar] to match. *)
 
 module Cplx = struct
   type ws = {
@@ -291,7 +305,7 @@ module Cplx = struct
     done
 
   (* forward/back substitution into the scratch vectors; identical scalar
-     sequence to [Matrix.Make.lu_solve] *)
+     sequence to the oracle's [lu_solve] *)
   let substitute ws =
     let are = ws.are and aim = ws.aim and n = ws.n and perm = ws.perm in
     let yre = ws.yre and yim = ws.yim in

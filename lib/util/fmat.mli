@@ -1,12 +1,14 @@
-(** Allocation-free dense linear-algebra kernels on flat [Bigarray] storage.
+(** Allocation-free dense linear-algebra kernels on flat [Bigarray] storage
+    — the one LU in the library, behind every analysis (DC, AC, noise,
+    transient, AWE and the RAIL power grid).
 
-    The functorized {!Matrix} solvers allocate a boxed matrix copy, a boxed
-    intermediate per scalar operation and fresh result vectors on every
-    factor/solve — three orders of magnitude more garbage than the answer
-    needs.  Inside the evaluator hot loops (one complex solve per frequency
-    point, one real solve per Newton iteration) that garbage serializes
-    every domain on the stop-the-world minor collector and turns the pool's
-    parallelism into a slowdown.
+    A boxed solver allocates a matrix copy, a boxed intermediate per scalar
+    operation and fresh result vectors on every factor/solve — three orders
+    of magnitude more garbage than the answer needs.  Inside the evaluator
+    hot loops (one complex solve per frequency point, one real solve per
+    Newton iteration) that garbage serializes every domain on the
+    stop-the-world minor collector and turns the pool's parallelism into a
+    slowdown.
 
     [Fmat] keeps each linear system in caller-provided, reusable
     {e workspaces}: row-major [float64] bigarrays for the matrix (split
@@ -15,13 +17,12 @@
     solve run fully in place; a steady-state factor+solve allocates nothing
     on the OCaml heap.
 
-    Both kernels perform {e exactly} the scalar operations of
-    [Matrix.Make]'s Doolittle LU with partial pivoting — same operation
-    order, same pivot comparison ([Float.hypot] magnitudes for complex),
-    same Smith's-algorithm complex division — so results are bit-for-bit
-    identical to [Matrix.Real] / [Matrix.Cplx] on the same system.  The
-    property tests in [test_util.ml] hold this equivalence exactly, not
-    within a tolerance. *)
+    Both kernels perform {e exactly} the scalar operations of a textbook
+    functorized Doolittle LU with partial pivoting — same operation order,
+    same pivot comparison ([Float.hypot] magnitudes for complex), same
+    Smith's-algorithm complex division.  That boxed solver survives as the
+    test suite's oracle ([test/matrix.ml]), and the property tests hold the
+    two bit-for-bit equal, not within a tolerance. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -32,13 +33,13 @@ exception Singular of int
     magnitude of the column in the {e original} matrix (with an absolute
     floor of [1e-300]), so well-conditioned but tiny-valued systems (pF/nS
     stamps) factor fine while structurally singular ones are caught instead
-    of producing roundoff garbage.  {!Matrix.Make} applies the same test. *)
+    of producing roundoff garbage.  The boxed oracle applies the same test. *)
 
 val pivot_threshold : float -> float
 (** [pivot_threshold col_scale] — the smallest acceptable pivot magnitude
     for a column whose largest original-matrix magnitude is [col_scale]:
-    [max 1e-300 (1e-14 *. col_scale)].  Shared with {!Matrix.Make} so the
-    boxed and flat kernels classify singularity identically. *)
+    [max 1e-300 (1e-14 *. col_scale)].  Shared with the boxed oracle so the
+    two kernels classify singularity identically. *)
 
 (** Real [n*n] systems: [A x = b]. *)
 module Real : sig
@@ -56,13 +57,22 @@ module Real : sig
 
   val stamp : ws -> int -> int -> float -> unit
   (** [stamp ws i j v] adds [v] to [A.(i).(j)].  Negative indices are
-      ignored — the MNA ground convention, matching {!Mna.stamp_real}. *)
+      ignored — the MNA convention that ground has index [-1]. *)
 
   val rhs : ws -> int -> float -> unit
   (** [rhs ws i v] adds [v] to [b.(i)]; negative [i] is ignored. *)
 
+  val set_rhs : ws -> int -> float -> unit
+  (** [set_rhs ws i v] overwrites [b.(i)].  Unlike {!clear}, it leaves a
+      factored matrix intact, so one factorization can be solved against
+      many right-hand sides. *)
+
   val set : ws -> int -> int -> float -> unit
   (** [set ws i j v] overwrites [A.(i).(j)] (indices must be valid). *)
+
+  val load : ws -> float array array -> unit
+  (** [load ws m] overwrites the whole matrix with the square [m].
+      @raise Invalid_argument unless [m] is [size ws * size ws]. *)
 
   val get : ws -> int -> int -> float
 
@@ -99,7 +109,7 @@ module Cplx : sig
 
   val factor : ws -> unit
   (** In-place complex LU with partial pivoting on [Float.hypot] pivot
-      magnitudes — bit-identical to [Matrix.Cplx.lu_factor].
+      magnitudes — bit-identical to the boxed oracle's complex LU.
       @raise Singular as {!Real.factor}. *)
 
   val solve : ws -> Complex.t array -> unit

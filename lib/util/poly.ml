@@ -46,7 +46,14 @@ let derivative c =
 
 (* Durand–Kerner: simultaneous iteration on all roots of the monic polynomial.
    The initial guesses lie on a circle of radius based on the coefficient
-   bound, rotated off the real axis so real-rooted polynomials converge. *)
+   bound, rotated off the real axis so real-rooted polynomials converge.
+
+   The iterates live in unboxed re/im float arrays and every step is
+   stdlib [Complex] arithmetic written out on scalars — [sub], [mul], the
+   Horner [add (mul acc z) c], Smith's [div] and [norm] as [Float.hypot],
+   operand for operand — so the roots are bit-identical to iterating on
+   [Complex.t] values while no step allocates.  AWE's Padé fallbacks call
+   this at every order they try, so it sits on the evaluator hot path. *)
 let roots ?(iterations = 400) c =
   let c = trim c in
   let n = degree c in
@@ -59,34 +66,60 @@ let roots ?(iterations = 400) c =
       +. Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0
            (Array.sub monic 0 n)
     in
-    let angle k = (2.0 *. Float.pi *. float_of_int k /. float_of_int n) +. 0.4 in
-    let z =
-      Array.init n (fun k -> Complex.polar (radius *. (0.5 +. (0.5 *. float_of_int (k + 1) /. float_of_int n))) (angle k))
-    in
-    let eval_monic w = eval_complex monic w in
-    let step () =
+    let zre = Array.make n 0.0 and zim = Array.make n 0.0 in
+    for k = 0 to n - 1 do
+      (* Complex.polar r a *)
+      let r = radius *. (0.5 +. (0.5 *. float_of_int (k + 1) /. float_of_int n)) in
+      let a = (2.0 *. Float.pi *. float_of_int k /. float_of_int n) +. 0.4 in
+      zre.(k) <- cos a *. r;
+      zim.(k) <- sin a *. r
+    done;
+    let step = ref 0 and moving = ref true in
+    while !moving && !step < iterations do
       let moved = ref 0.0 in
       for i = 0 to n - 1 do
-        let zi = z.(i) in
-        let denom = ref Complex.one in
+        let zr = zre.(i) and zi = zim.(i) in
+        (* denom = prod_{j <> i} (z_i - z_j), in j order *)
+        let dr = ref 1.0 and di = ref 0.0 in
         for j = 0 to n - 1 do
-          if j <> i then denom := Complex.mul !denom (Complex.sub zi z.(j))
+          if j <> i then begin
+            let sr = zr -. zre.(j) and si = zi -. zim.(j) in
+            let pr = (!dr *. sr) -. (!di *. si) and pi = (!dr *. si) +. (!di *. sr) in
+            dr := pr;
+            di := pi
+          end
         done;
-        if Complex.norm !denom > 1e-300 then begin
-          let delta = Complex.div (eval_monic zi) !denom in
-          z.(i) <- Complex.sub zi delta;
-          moved := Float.max !moved (Complex.norm delta)
+        if Float.hypot !dr !di > 1e-300 then begin
+          (* the monic polynomial at z_i, by Horner *)
+          let hr = ref 0.0 and hi = ref 0.0 in
+          for k = n downto 0 do
+            let pr = (!hr *. zr) -. (!hi *. zi) and pi = (!hr *. zi) +. (!hi *. zr) in
+            hr := pr +. monic.(k);
+            hi := pi +. 0.0
+          done;
+          (* delta = p(z_i) / denom *)
+          let xr = !hr and xi = !hi and yr = !dr and yi = !di in
+          let delta_r = ref 0.0 and delta_i = ref 0.0 in
+          if abs_float yr >= abs_float yi then begin
+            let r = yi /. yr in
+            let d = yr +. (r *. yi) in
+            delta_r := (xr +. (r *. xi)) /. d;
+            delta_i := (xi -. (r *. xr)) /. d
+          end
+          else begin
+            let r = yr /. yi in
+            let d = yi +. (r *. yr) in
+            delta_r := ((r *. xr) +. xi) /. d;
+            delta_i := ((r *. xi) -. xr) /. d
+          end;
+          zre.(i) <- zr -. !delta_r;
+          zim.(i) <- zi -. !delta_i;
+          moved := Float.max !moved (Float.hypot !delta_r !delta_i)
         end
       done;
-      !moved
-    in
-    let rec iterate k =
-      if k < iterations then
-        let moved = step () in
-        if moved > 1e-13 then iterate (k + 1)
-    in
-    iterate 0;
-    z
+      if !moved > 1e-13 then incr step else moving := false
+    done;
+    Array.init n (fun k -> { Complex.re = zre.(k); im = zim.(k) })
   end
 
 let from_roots rs =

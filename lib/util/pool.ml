@@ -371,8 +371,10 @@ let run_chunks ~helpers ?chunk f (a : 'a array) : 'b array =
     results
 
 let effective_jobs jobs n =
-  let j = match jobs with Some j -> clamp_jobs j | None -> default_jobs () in
-  min j (max 1 n)
+  if Domain.DLS.get in_worker then 1
+  else
+    let j = match jobs with Some j -> clamp_jobs j | None -> default_jobs () in
+    min j (max 1 n)
 
 (* run [f] with this domain marked as a pool participant, so every parallel
    call inside degrades to sequential.  The batch layer wraps each job in

@@ -149,8 +149,8 @@ val worker_minor_heap_words : unit -> int
 val effective_jobs : int option -> int -> int
 (** [effective_jobs jobs n] — the job count a parallel call over [n] items
     would use: [jobs] (or {!default_jobs} when [None]) clamped to the pool
-    cap and to [n].  Lets callers pick between a lazy sequential strategy
-    and an eager parallel one before paying for either. *)
+    cap and to [n], and 1 inside a pool worker or a {!sequential_scope},
+    where every parallel call runs sequentially. *)
 
 val sequential_scope : (unit -> 'a) -> 'a
 (** Run [f] with this domain treated as a pool worker: every parallel call

@@ -192,6 +192,53 @@ let test_powergrid_spike_scales_with_ipeak () =
   let m1 = PG.evaluate fp design and m2 = PG.evaluate fp2 design in
   check_close ~eps:0.05 "spike doubles" (2.0 *. m1.PG.spike) m2.PG.spike
 
+(* digests of the five metrics [PG.evaluate] computed on the boxed LU, for
+   floorplan seeds 1-3 x {uniform, graded} strap widths x AWE orders 1, 3, 5 *)
+let power_grid_metrics =
+  [ "d3cc3d089bc8af194a15d5565e46f420";
+    "6f8f8a609336dd819dda6a6b94add8ab";
+    "e18a658f98ab999f7e70730fd8770c7b";
+    "0322d880b4c7fd87b843a092f711f908";
+    "4d164ee02291955ef50ded80648c286a";
+    "a9b8d9d1c8867880f7154ecd25c887c8";
+    "d25f0b55899f86cf30d8dae13beb268f";
+    "71433175d4235da5072f81e244bddf88";
+    "0a07e279c6160f8451ba8bca0302dec7";
+    "22b3ccff93049948f051890ad4a68e99";
+    "dfcb303e0680c0e9284b25bd59ebc50e";
+    "21b8da406fbcce551a52abae5af71071";
+    "fe8aa940b9086757f0c5b87190275f0c";
+    "cd60f59ed738f27fcc5d89b367b79279";
+    "1b1f957068cd5675c37dde52a14ef737";
+    "4368f7c7627cc7f0ad0016af9b5c3f0c";
+    "2fbe4cc62eaa522efb44a0ef97603bb6";
+    "f3bd46c764500af60b9b1ca1831aa4ed" ]
+
+let test_powergrid_matches_capture () =
+  let designs =
+    [ Array.make 20 2e-6; Array.init 20 (fun i -> 2e-6 *. float_of_int (1 + (i mod 7))) ]
+  in
+  let got =
+    List.concat_map
+      (fun seed ->
+        let fp = FP.floorplan ~seed blocks in
+        List.concat_map
+          (fun strap_widths ->
+            List.map
+              (fun awe_order ->
+                let design =
+                  { PG.pitch = 0.8e-3; strap_widths; n_vertical = 10; n_horizontal = 10 }
+                in
+                let m = PG.evaluate ~awe_order fp design in
+                Fixtures.bits_digest
+                  [ m.PG.ir_drop; m.PG.spike; m.PG.victim_bounce; m.PG.em_overload;
+                    m.PG.metal_area ])
+              [ 1; 3; 5 ])
+          designs)
+      [ 1; 2; 3 ]
+  in
+  Alcotest.(check (list string)) "metric bits" power_grid_metrics got
+
 let () =
   Alcotest.run "assembly"
     [ ( "block",
@@ -216,4 +263,5 @@ let () =
         [ Alcotest.test_case "synthesis meets" `Quick test_powergrid_synthesis_meets;
           Alcotest.test_case "costs metal" `Quick test_powergrid_costs_metal;
           Alcotest.test_case "monotone in width" `Quick test_powergrid_monotone_in_width;
-          Alcotest.test_case "spike scales" `Quick test_powergrid_spike_scales_with_ipeak ] ) ]
+          Alcotest.test_case "spike scales" `Quick test_powergrid_spike_scales_with_ipeak;
+          Alcotest.test_case "evaluate matches capture" `Quick test_powergrid_matches_capture ] ) ]

@@ -178,7 +178,7 @@ let test_ac_sweep_endpoint () =
 let test_ac_flat_matches_boxed () =
   (* the flat per-domain kernel must reproduce the boxed Matrix.Cplx path
      bit-for-bit on real amplifier systems, at any job count *)
-  let module Cplx = Mixsyn_util.Matrix.Cplx in
+  let module Cplx = Matrix.Cplx in
   List.iter
     (fun t ->
       let nl = t.Mixsyn_circuit.Template.build tech (Mixsyn_circuit.Template.midpoint t) in
@@ -224,13 +224,26 @@ let test_ac_ota_gain_formula () =
 
 (* --- transient -------------------------------------------------------------- *)
 
-let test_tran_rc_step () =
+let rc_step_circuit () =
   let c = N.create () in
   let vin = N.new_net c and out = N.new_net ~name:"out" c in
   N.add c (N.Vsource { v_name = "v1"; p = vin; n = N.gnd; dc = 0.0; ac = 0.0;
                        v_wave = N.Pulse { v0 = 0.0; v1 = 1.0; delay = 1e-5; rise = 1e-7; width = 1.0 } });
   N.add c (N.Resistor { r_name = "r1"; a = vin; b = out; ohms = 1000.0 });
   N.add c (N.Capacitor { c_name = "c1"; a = out; b = N.gnd; farads = 1e-7 });
+  (c, out)
+
+let rc_charge_circuit () =
+  let c = N.create () in
+  let vin = N.new_net c and out = N.new_net c in
+  N.add c (N.Vsource { v_name = "v1"; p = vin; n = N.gnd; dc = 0.0; ac = 0.0;
+                       v_wave = N.Pulse { v0 = 0.0; v1 = 2.0; delay = 0.0; rise = 1e-9; width = 1.0 } });
+  N.add c (N.Resistor { r_name = "r1"; a = vin; b = out; ohms = 100.0 });
+  N.add c (N.Capacitor { c_name = "c1"; a = out; b = N.gnd; farads = 1e-6 });
+  (c, out)
+
+let test_tran_rc_step () =
+  let c, out = rc_step_circuit () in
   let op = Dc.solve ~tech c in
   let tr = Tran.solve ~tech c op ~t_stop:1e-3 ~dt:1e-6 in
   let w = Tran.waveform tr out in
@@ -249,12 +262,7 @@ let test_tran_settling_time () =
 
 let test_tran_energy_conservation () =
   (* charging a capacitor through a resistor: the capacitor ends with CV^2/2 *)
-  let c = N.create () in
-  let vin = N.new_net c and out = N.new_net c in
-  N.add c (N.Vsource { v_name = "v1"; p = vin; n = N.gnd; dc = 0.0; ac = 0.0;
-                       v_wave = N.Pulse { v0 = 0.0; v1 = 2.0; delay = 0.0; rise = 1e-9; width = 1.0 } });
-  N.add c (N.Resistor { r_name = "r1"; a = vin; b = out; ohms = 100.0 });
-  N.add c (N.Capacitor { c_name = "c1"; a = out; b = N.gnd; farads = 1e-6 });
+  let c, out = rc_charge_circuit () in
   let op = Dc.solve ~tech c in
   let tr = Tran.solve ~tech c op ~t_stop:2e-3 ~dt:2e-6 in
   let w = Tran.waveform tr out in
@@ -373,6 +381,62 @@ let prop_transient_settles_to_dc =
       let _, v_final = w.(Array.length w - 1) in
       Float.abs (v_final -. Mna.voltage op out) < 1e-6 +. (1e-4 *. Float.abs v_final))
 
+(* --- transient on Fmat vs the boxed oracle --------------------------------- *)
+
+(* [Tran.solve] stamps into a pooled Fmat workspace and factors in place;
+   the samples must equal the boxed-Matrix loop it replaced bit for bit *)
+let check_tran_bitexact name nl ~t_stop ~dt =
+  let op = Dc.solve ~tech nl in
+  let flat = (Tran.solve ~tech nl op ~t_stop ~dt).Tran.samples in
+  let boxed = Oracle.tran_samples ~tech nl op ~t_stop ~dt in
+  Alcotest.(check int) (name ^ ": timepoints") (Array.length boxed) (Array.length flat);
+  Array.iteri
+    (fun k row ->
+      Array.iteri
+        (fun i v ->
+          if Int64.bits_of_float v <> Int64.bits_of_float flat.(k).(i) then
+            Alcotest.failf "%s: sample %d unknown %d: boxed %h, flat %h" name k i v
+              flat.(k).(i))
+        row)
+    boxed
+
+let test_tran_matches_boxed () =
+  check_tran_bitexact "rc step" (fst (rc_step_circuit ())) ~t_stop:1e-3 ~dt:1e-6;
+  check_tran_bitexact "rc charge" (fst (rc_charge_circuit ())) ~t_stop:2e-3 ~dt:2e-6;
+  for seed = 0 to 9 do
+    check_tran_bitexact (Printf.sprintf "ladder %d" seed)
+      (fst (random_ladder seed (1 + (seed mod 4))))
+      ~t_stop:1e-4 ~dt:2e-7
+  done;
+  List.iter
+    (fun t ->
+      check_tran_bitexact t.Mixsyn_circuit.Template.t_name
+        (t.Mixsyn_circuit.Template.build tech (Mixsyn_circuit.Template.midpoint t))
+        ~t_stop:2e-7 ~dt:1e-9)
+    Mixsyn_circuit.Topology.all
+
+let test_tran_detector_matches_boxed () =
+  (* the Table 1 transient check, as Pulse_detector runs it *)
+  List.iteri
+    (fun k (nl, _) ->
+      check_tran_bitexact (Printf.sprintf "detector %d" k) nl ~t_stop:12e-6 ~dt:6e-9)
+    (Fixtures.detector_sizings ~count:40)
+
+let test_tran_alloc_cap () =
+  (* one Newton iteration allocates its MOS evaluation and a few boxed
+     stamps, never a matrix, an LU copy or a list: the boxed path took
+     ~8,100 minor words per timestep on this netlist *)
+  let nl = Mixsyn_circuit.Detector.build tech Mixsyn_circuit.Detector.expert_manual_sizing in
+  let op = Dc.solve ~tech nl in
+  let run () = Tran.solve ~tech nl op ~t_stop:12e-6 ~dt:6e-9 in
+  ignore (run ());
+  (* a Tran.solve runs entirely on the calling domain, so this count is exact *)
+  let w0 = Gc.minor_words () in
+  let tr = run () in
+  let per_step = (Gc.minor_words () -. w0) /. float_of_int (Array.length tr.Tran.times - 1) in
+  if per_step > 1500.0 then
+    Alcotest.failf "Tran.solve allocates %.0f minor words per timestep (cap 1500)" per_step
+
 (* --- dc sweep ------------------------------------------------------------ *)
 
 let test_dc_sweep_divider () =
@@ -428,7 +492,11 @@ let () =
       ( "transient",
         [ Alcotest.test_case "rc step" `Quick test_tran_rc_step;
           Alcotest.test_case "settling time" `Quick test_tran_settling_time;
-          Alcotest.test_case "charge completion" `Quick test_tran_energy_conservation ] );
+          Alcotest.test_case "charge completion" `Quick test_tran_energy_conservation;
+          Alcotest.test_case "flat matches boxed" `Quick test_tran_matches_boxed;
+          Alcotest.test_case "table 1 detector matches boxed" `Quick
+            test_tran_detector_matches_boxed;
+          Alcotest.test_case "detector allocation cap" `Quick test_tran_alloc_cap ] );
       ( "noise",
         [ Alcotest.test_case "4kTR floor" `Quick test_noise_resistor_4ktr;
           Alcotest.test_case "kT/C invariant" `Quick test_noise_ktc;

@@ -271,6 +271,10 @@ let test_sequential_scope () =
         Pool.parallel_init ~jobs:8 6 (fun i -> i * i))
   in
   Alcotest.(check (array int)) "scope results" [| 0; 1; 4; 9; 16; 25 |] inside;
+  (* and the job count a caller would plan with says so *)
+  Alcotest.(check int) "effective jobs outside" 6 (Pool.effective_jobs (Some 8) 6);
+  Alcotest.(check int) "effective jobs inside" 1
+    (Pool.sequential_scope (fun () -> Pool.effective_jobs (Some 8) 6));
   (try Pool.sequential_scope (fun () -> failwith "x") with Failure _ -> ());
   let after = Pool.parallel_init ~jobs:4 4 (fun i -> i + 1) in
   Alcotest.(check (array int)) "pool usable after scope raise" [| 1; 2; 3; 4 |] after
@@ -372,13 +376,41 @@ let test_sweeps_jobs_invariant () =
   let n4 = Mixsyn_engine.Noise.analyze ~tech ~jobs:4 nl op ~out ~freqs in
   if n1 <> n4 then Alcotest.fail "noise analysis differs between jobs=1 and jobs=4"
 
-let test_koan_jobs_invariant () =
-  (* the eager parallel placement-attempt evaluation must reproduce the
-     lazy loop's report exactly *)
-  let nl = Top.ota_5t.Tp.build tech (Tp.midpoint Top.ota_5t) in
-  let r1 = Mixsyn_layout.Cell_flow.koan ~seed:23 ~jobs:1 nl in
-  let r4 = Mixsyn_layout.Cell_flow.koan ~seed:23 ~jobs:4 nl in
-  if r1 <> r4 then Alcotest.fail "koan report differs between jobs=1 and jobs=4"
+let test_flow_lazy_placement_retries () =
+  (* placement retries run lazily: a layout pass whose first seed routes
+     makes exactly one KOAN call — at top level and inside a sequential
+     scope, where batch and serve run their jobs — and the outcome is the
+     same in both places *)
+  let module Spec = Mixsyn_synth.Spec in
+  let module Flow = Mixsyn_flow.Flow in
+  let module CF = Mixsyn_layout.Cell_flow in
+  let specs =
+    [ Spec.spec "gain_db" (Spec.At_least 45.0);
+      Spec.spec "ugf_hz" (Spec.At_least 5e6);
+      Spec.spec "phase_margin_deg" (Spec.At_least 50.0) ]
+  in
+  let run () =
+    let calls0 = Mixsyn_util.Telemetry.span_calls "layout.koan" in
+    let o =
+      Flow.run ~seed:5 ~candidates:[ Top.ota_5t ] ~specs
+        ~objectives:[ Spec.minimize "power_w" ] ~context:[ ("cl", 5e-13) ] ()
+    in
+    (o, Mixsyn_util.Telemetry.span_calls "layout.koan" - calls0)
+  in
+  let top, top_calls = run () in
+  let scoped, scoped_calls = Pool.sequential_scope run in
+  List.iter
+    (fun (where, (o : Flow.outcome), calls) ->
+      if not o.Flow.layout.CF.complete then
+        Alcotest.failf "%s: the final layout must route" where;
+      Alcotest.(check int) (where ^ ": one KOAN call per pass") (o.Flow.redesigns + 1) calls)
+    [ ("top level", top, top_calls); ("sequential scope", scoped, scoped_calls) ];
+  if top.Flow.layout <> scoped.Flow.layout then Alcotest.fail "layouts differ";
+  if top.Flow.sizing.Mixsyn_synth.Sizing.params <> scoped.Flow.sizing.Mixsyn_synth.Sizing.params
+     || top.Flow.post_layout <> scoped.Flow.post_layout
+     || top.Flow.redesigns <> scoped.Flow.redesigns
+     || top.Flow.diagnostics <> scoped.Flow.diagnostics
+  then Alcotest.fail "flow outcome differs inside the sequential scope"
 
 (* --- branch-index hashtable -------------------------------------------- *)
 
@@ -420,6 +452,6 @@ let () =
           Alcotest.test_case "anneal multistart" `Quick test_multistart_jobs_invariant;
           Alcotest.test_case "genetic fitness" `Quick test_genetic_jobs_invariant;
           Alcotest.test_case "ac + noise sweeps" `Quick test_sweeps_jobs_invariant;
-          Alcotest.test_case "koan attempts" `Slow test_koan_jobs_invariant ] );
+          Alcotest.test_case "flow placement retries" `Slow test_flow_lazy_placement_retries ] );
       ( "mna",
         [ Alcotest.test_case "branch index table" `Quick test_branch_index_table ] ) ]

@@ -60,7 +60,7 @@ let test_determinant_numeric () =
     let values = Array.init n (fun _ -> Array.init n (fun _ -> Mixsyn_util.Rng.uniform rng (-2.0) 2.0)) in
     let sym_m = Array.map (Array.map E.const) values in
     let det_sym = (E.eval value_of (A.determinant sym_m) Complex.zero).Complex.re in
-    let det_num = Mixsyn_util.Matrix.Real.determinant values in
+    let det_num = Matrix.Real.determinant values in
     check_close ~eps:1e-6 "determinant" det_num det_sym
   done
 

@@ -1,8 +1,8 @@
 (* Unit and property tests for the numerical substrate. *)
 
 module Rng = Mixsyn_util.Rng
-module Real = Mixsyn_util.Matrix.Real
-module Cplx = Mixsyn_util.Matrix.Cplx
+module Real = Matrix.Real
+module Cplx = Matrix.Cplx
 module Poly = Mixsyn_util.Poly
 module I = Mixsyn_util.Interval
 module Stats = Mixsyn_util.Stats
@@ -297,6 +297,50 @@ let test_poly_derivative () =
   let p = Poly.of_coeffs [| 5.0; 1.0; 3.0 |] in
   let p' = Poly.derivative p in
   check_close "d/dx at 2" 13.0 (Poly.eval p' 2.0)
+
+let random_poly rng =
+  let degree = 1 + Rng.int rng 8 in
+  match Rng.int rng 3 with
+  | 0 ->
+    (* coefficients spread over six decades, either sign *)
+    Array.init (degree + 1) (fun _ ->
+        Rng.uniform rng (-1.0) 1.0 *. (10.0 ** Rng.uniform rng (-3.0) 3.0))
+  | 1 ->
+    (* an AWE-style denominator: constant term 1, geometric in scale *)
+    let tau = 10.0 ** Rng.uniform rng (-2.0) 1.0 in
+    Array.init (degree + 1) (fun k ->
+        if k = 0 then 1.0 else Rng.uniform rng 0.1 2.0 *. (tau ** float_of_int k))
+  | _ ->
+    (* a conjugate-closed root set with repeated real roots, which converge
+       slowly and run into the iteration cap *)
+    let rec roots k acc =
+      if k >= degree then acc
+      else if k + 2 <= degree && Rng.bool rng then begin
+        let re = Rng.uniform rng (-2.0) 0.5 and im = Rng.uniform rng 0.1 2.0 in
+        roots (k + 2) ({ Complex.re; im } :: { Complex.re; im = -.im } :: acc)
+      end
+      else roots (k + 1) ({ Complex.re = Float.round (Rng.uniform rng (-3.0) 1.0); im = 0.0 } :: acc)
+    in
+    Poly.from_roots (Array.of_list (roots 0 []))
+
+let test_poly_roots_match_boxed () =
+  (* the unboxed Durand-Kerner must take every step of the boxed Complex.t
+     iteration: the same roots to the last bit, at any iteration cap *)
+  let rng = Rng.create 1996 in
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+  for case = 1 to 20_000 do
+    let c = random_poly rng in
+    let iterations = if case mod 10 = 0 then 1 + Rng.int rng 5 else 400 in
+    let flat = Poly.roots ~iterations c and boxed = Oracle.roots ~iterations c in
+    Alcotest.(check int) "root count" (Array.length boxed) (Array.length flat);
+    Array.iteri
+      (fun i (z : Complex.t) ->
+        if not (same z.Complex.re flat.(i).Complex.re && same z.Complex.im flat.(i).Complex.im)
+        then
+          Alcotest.failf "case %d root %d: boxed %h%+hi, flat %h%+hi" case i z.Complex.re
+            z.Complex.im flat.(i).Complex.re flat.(i).Complex.im)
+      boxed
+  done
 
 (* --- intervals --------------------------------------------------------- *)
 
@@ -868,6 +912,7 @@ let () =
           Alcotest.test_case "complex roots" `Quick test_poly_roots_complex;
           Alcotest.test_case "from_roots roundtrip" `Quick test_poly_from_roots_roundtrip;
           Alcotest.test_case "derivative" `Quick test_poly_derivative;
+          Alcotest.test_case "roots match boxed" `Quick test_poly_roots_match_boxed;
           qt prop_poly_add_eval;
           qt prop_poly_mul_eval ] );
       ( "interval",
