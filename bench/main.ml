@@ -603,10 +603,6 @@ let run_parallel () =
     Top.miller_ota.Tp.build tech
       [| 60e-6; 20e-6; 30e-6; 60e-6; 45e-6; 1e-6; 50e-6; 3e-12; 5e-12 |]
   in
-  (* annealing multi-start: 4 independent placement chains *)
-  let items, _, sym = Mixsyn_layout.Cell_flow.items_of_netlist nl in
-  bench ~items:4 "anneal-multistart" (fun j ->
-      Mixsyn_layout.Placer.place ~seed:23 ~restarts:4 ~jobs:j items sym);
   (* corner sweep: 17 vertices, each a full simulation of the midpoint
      sizing at that corner *)
   let specs =

@@ -64,10 +64,10 @@ let jobs_env =
 let jobs_arg =
   Arg.(value & opt (some jobs_conv) None
        & info [ "jobs" ] ~docv:"N" ~env:jobs_env
-           ~doc:"Worker domains for the parallel evaluation loops (corner sweeps, annealing \
-                 multi-starts, frequency sweeps, batch jobs).  Defaults \
-                 to $(b,MIXSYN_JOBS) or the machine's core count; results are identical at \
-                 any value.  Must be at least 1.")
+           ~doc:"Worker domains for the parallel evaluation loops (corner sweeps, GA \
+                 populations, frequency sweeps, batch jobs).  Defaults \
+                 to $(b,MIXSYN_JOBS) or the machine's core count, and never exceeds the \
+                 core count; results are identical at any value.  Must be at least 1.")
 
 let apply_jobs = function
   | Some n -> Mixsyn_util.Pool.set_default_jobs n
@@ -734,17 +734,12 @@ let batch_cmd =
           it once (single-flight).  $(b,--no-stage-cache) bypasses the cache for A/B \
           timing.  The summary reports the run's hit/miss counts and per-domain busy \
           seconds.";
-      `S "SCHEDULER KNOBS";
+      `S "SCHEDULING";
       `P "Whole jobs are the unit of work stealing: each domain claims one job at a \
           time from the shared queue, keeping its warm per-domain solver workspaces \
           across consecutive jobs.  $(b,--jobs) (or $(b,MIXSYN_JOBS)) sets the worker \
-          count, but the pool never runs more domains than the machine has cores: \
-          $(b,MIXSYN_POOL_CORES) overrides the detected core count and \
-          $(b,MIXSYN_POOL_OVERSUBSCRIBE=1) removes the cap for A/B measurements.  \
-          $(b,MIXSYN_POOL_MIN_WORK_US) tunes the minimum estimated work (default \
-          1000 µs) below which a parallel loop runs inline, and \
-          $(b,MIXSYN_MINOR_HEAP) sizes each worker's minor heap in words \
-          (default 4M).";
+          count, the one scheduling setting; the pool never runs more domains than \
+          the machine has cores, and the summary reports the count that ran.";
       `S "MANIFEST FORMAT";
       `P "One JSON object per line, for example:";
       `Pre "  {\"id\": \"ota-70db\", \"seed\": 13,\n\
@@ -981,26 +976,18 @@ let main =
           run their evaluation loops on $(i,N) worker domains ($(b,MIXSYN_JOBS) sets the \
           same default from the environment; both reject counts below 1).  Results are \
           bit-identical at any job count.";
-      `P "Library callers can additionally pass $(b,?chunk) to any pool entry point \
-          ($(b,Pool.parallel_map) and the loops built on it, e.g. $(b,Ac.solve)): \
-          workers claim that many consecutive items per atomic fetch.  Larger chunks \
-          amortize claim overhead across fine items such as AC frequency points; \
-          $(b,chunk = 1) keeps coarse items (annealing chains) evenly spread.  Like \
-          $(b,--jobs), it changes scheduling only — never the result.";
-      `P "Parallelism does not always pay.  Each wired loop carries a learned \
-          per-item cost estimate; when the estimated total work of a call falls \
-          under $(b,MIXSYN_POOL_MIN_WORK_US) microseconds (default 1000), the pool \
-          runs it inline on the calling domain instead of waking workers — counted \
-          as $(b,pool.grain_fallbacks) in the telemetry report, and still \
-          bit-identical.  Set it to $(b,0) to always go parallel.";
-      `P "Worker domains run with an enlarged minor heap — $(b,MIXSYN_MINOR_HEAP) \
-          words, default 4194304, minimum 65536 — because OCaml's stop-the-world \
-          minor collections pause every domain: allocation-heavy workers throttle \
-          each other, and on such workloads $(b,--jobs) 4 can lose to $(b,--jobs) 1. \
-          The $(b,pool.minor_collections) / $(b,pool.major_collections) telemetry \
+      `P "The job count is the only scheduling setting; the rest are fixed rules.  \
+          No loop runs on more domains than the machine has cores.  Maps (corner \
+          sweeps, GA populations, batch jobs) hand out one item at a time.  Frequency \
+          sweeps split into bands of at least 32 points, and a sweep shorter than two \
+          bands runs inline on the calling domain — counted as \
+          $(b,pool.grain_fallbacks) in the telemetry report, and still bit-identical.  \
+          Worker domains use the runtime's default minor heap.";
+      `P "OCaml's stop-the-world minor collections pause every domain, so \
+          allocation-heavy workers throttle each other.  The \
+          $(b,pool.minor_collections) / $(b,pool.major_collections) telemetry \
           counters report the collections observed during parallel regions; if they \
-          grow with the job count, reduce allocation (or raise the minor heap) \
-          before adding workers." ]
+          grow with the job count, reduce allocation before adding workers." ]
   in
   Cmd.group
     (Cmd.info "msyn" ~version:"1.0.0" ~doc ~man)

@@ -166,12 +166,19 @@ let evaluate ?(vdd = 5.0) ?(awe_order = 3) fp design =
     List.filter (fun ((b : Block.t), _) -> b.Block.i_peak > 0.0) model.taps
   in
   let spike = ref 0.0 and victim_bounce = ref 0.0 in
+  let victim_taps = List.map snd victims in
   List.iter
     (fun ((b : Block.t), tap) ->
       let bvec = Array.make n 0.0 in
       bvec.(tap) <- 1.0;
-      let peak_at out =
-        match Mixsyn_awe.Awe.of_network ~g:model.g ~c:model.c ~b:bvec ~out ~order:awe_order with
+      (* one factorization of G and one moment recursion per aggressor
+         serve its own tap (index 0) and every victim tap *)
+      let ms =
+        Mixsyn_awe.Awe.moments_at ~g:model.g ~c:model.c ~b:bvec
+          ~outs:(Array.of_list (tap :: victim_taps)) ~count:(2 * awe_order)
+      in
+      let peak_at o =
+        match Mixsyn_awe.Awe.pade ms.(o) ~order:awe_order with
         | exception Failure _ -> 0.0
         | tf ->
           let tf = Mixsyn_awe.Awe.stable_part tf in
@@ -184,11 +191,10 @@ let evaluate ?(vdd = 5.0) ?(awe_order = 3) fp design =
           done;
           b.Block.i_peak *. !peak
       in
-      spike := Float.max !spike (peak_at tap /. vdd);
-      List.iter
-        (fun ((_ : Block.t), victim_tap) ->
-          victim_bounce := Float.max !victim_bounce (peak_at victim_tap /. vdd))
-        victims)
+      spike := Float.max !spike (peak_at 0 /. vdd);
+      for o = 1 to Array.length ms - 1 do
+        victim_bounce := Float.max !victim_bounce (peak_at o /. vdd)
+      done)
     aggressors;
   let metal_area =
     Array.fold_left

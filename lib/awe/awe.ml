@@ -9,11 +9,13 @@ type tf = {
 }
 
 (* G is factored once into a pooled workspace; every moment is one more
-   back-substitution against a right-hand side written in place *)
-let moments ~g ~c ~b ~out ~count =
+   back-substitution against a right-hand side written in place, and each
+   moment vector serves every requested output *)
+let moments_at ~g ~c ~b ~outs ~count =
   let n = Array.length b in
-  let ms = Array.make count 0.0 in
+  let ms = Array.map (fun _ -> Array.make count 0.0) outs in
   let x = Array.make n 0.0 in
+  let read k = Array.iteri (fun o out -> ms.(o).(k) <- x.(out)) outs in
   Fmat.with_real n (fun ws ->
       Fmat.Real.load ws g;
       Fmat.Real.factor ws;
@@ -21,7 +23,7 @@ let moments ~g ~c ~b ~out ~count =
         Fmat.Real.set_rhs ws i b.(i)
       done;
       Fmat.Real.solve ws x;
-      ms.(0) <- x.(out);
+      read 0;
       for k = 1 to count - 1 do
         for i = 0 to n - 1 do
           let acc = ref 0.0 in
@@ -31,9 +33,11 @@ let moments ~g ~c ~b ~out ~count =
           Fmat.Real.set_rhs ws i (-. !acc)
         done;
         Fmat.Real.solve ws x;
-        ms.(k) <- x.(out)
+        read k
       done);
   ms
+
+let moments ~g ~c ~b ~out ~count = (moments_at ~g ~c ~b ~outs:[| out |] ~count).(0)
 
 (* Padé at one order; raises Fmat.Singular when the Hankel system degenerates. *)
 let try_pade ms q =

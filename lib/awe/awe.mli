@@ -31,6 +31,15 @@ val moments :
     [(G + sC) x = b].
     @raise Mixsyn_util.Fmat.Singular when G is singular. *)
 
+val moments_at :
+  g:float array array -> c:float array array -> b:float array -> outs:int array ->
+  count:int -> float array array
+(** [moments_at ~g ~c ~b ~outs ~count] is {!moments} for every unknown in
+    [outs] from one factorization of G and one moment recursion:
+    element [k] holds the moments of [outs.(k)], bit-identical to a
+    separate {!moments} call.
+    @raise Mixsyn_util.Fmat.Singular when G is singular. *)
+
 val pade : float array -> order:int -> tf
 (** Match the given moments with [order] poles (order reduced on numerical
     failure).  @raise Failure when even order 1 fails. *)

@@ -100,11 +100,7 @@ let flatten_system (g, c, (b : Complex.t array)) =
     fs_bre = Float.Array.init n (fun i -> b.(i).Complex.re);
     fs_bim = Float.Array.init n (fun i -> b.(i).Complex.im) }
 
-(* short sweeps over small systems (a flow's 40-point Bode probe) lose
-   more to fan-out than they gain; the grain lets the pool learn that *)
-let sweep_grain = Mixsyn_util.Pool.grain "ac.sweep"
-
-let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) ?jobs ?chunk nl op ~freqs =
+let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) ?jobs nl op ~freqs =
   Mixsyn_util.Telemetry.count "ac.solves";
   Mixsyn_util.Telemetry.add "ac.freq_points" (Array.length freqs);
   let fs = flatten_system (build_system tech nl op) in
@@ -113,8 +109,7 @@ let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) ?jobs ?chunk nl op ~freqs =
      bands and amortise one pooled complex workspace across a whole band
      (load/factor/solve in place per point), results in frequency order *)
   let solutions =
-    Mixsyn_util.Pool.parallel_banded ?jobs ?chunk ~grain:sweep_grain
-      (Array.length freqs)
+    Mixsyn_util.Pool.parallel_banded ?jobs (Array.length freqs)
       (fun start len ->
         Fmat.with_cplx fs.fs_n (fun ws ->
             Array.init len (fun k ->

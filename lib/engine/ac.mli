@@ -9,7 +9,6 @@ type result = {
 val solve :
   ?tech:Mixsyn_circuit.Tech.t ->
   ?jobs:int ->
-  ?chunk:int ->
   Mixsyn_circuit.Netlist.t ->
   Mna.op ->
   freqs:float array ->
@@ -22,8 +21,9 @@ val solve :
     only per-point allocation is the solution vector.  Frequency points
     solve concurrently on the {!Mixsyn_util.Pool} ([jobs] defaults to
     [Pool.default_jobs ()]); workers claim contiguous frequency {e bands}
-    of [chunk] points (default: the pool's [n / (jobs * 4)] heuristic).
-    [solutions] is in frequency order regardless of [jobs] and [chunk]. *)
+    of at least 32 points ({!Mixsyn_util.Pool.parallel_banded}), so a
+    sweep shorter than 64 points runs inline.  [solutions] is in frequency
+    order regardless of [jobs]. *)
 
 val voltage : result -> int -> Mixsyn_circuit.Netlist.net -> Complex.t
 (** [voltage r k net] — complex node voltage at frequency index [k]. *)

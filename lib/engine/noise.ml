@@ -26,9 +26,7 @@ let integrate series =
   done;
   !acc
 
-let sweep_grain = Mixsyn_util.Pool.grain "noise.sweep"
-
-let analyze ?(tech = Mixsyn_circuit.Tech.generic_07um) ?jobs ?chunk nl op ~out ~freqs =
+let analyze ?(tech = Mixsyn_circuit.Tech.generic_07um) ?jobs nl op ~out ~freqs =
   let g, c, _b = Ac.build_system tech nl op in
   let n = Array.length g in
   let out_index = Mna.node_index out in
@@ -82,7 +80,7 @@ let analyze ?(tech = Mixsyn_circuit.Tech.generic_07um) ?jobs ?chunk nl op ~out ~
      read-only flat (g, c) — fan out in contiguous frequency bands, one
      pooled workspace and one scratch vector per band, results in order *)
   let points =
-    Mixsyn_util.Pool.parallel_banded ?jobs ?chunk ~grain:sweep_grain (Array.length freqs)
+    Mixsyn_util.Pool.parallel_banded ?jobs (Array.length freqs)
       (fun start len ->
         let y = Array.make n Complex.zero in
         Fmat.with_cplx n (fun ws ->

@@ -26,7 +26,6 @@ type result = {
 val analyze :
   ?tech:Mixsyn_circuit.Tech.t ->
   ?jobs:int ->
-  ?chunk:int ->
   Mixsyn_circuit.Netlist.t ->
   Mna.op ->
   out:Mixsyn_circuit.Netlist.net ->
@@ -36,8 +35,9 @@ val analyze :
     ([jobs] defaults to [Pool.default_jobs ()]), each an in-place adjoint
     factor/solve in a per-domain {!Mixsyn_util.Fmat} workspace against the
     once-flattened [G]/[C] planes; workers claim contiguous frequency
-    bands of [chunk] points.  [points] is in frequency order regardless of
-    [jobs] and [chunk]. *)
+    bands of at least 32 points ({!Mixsyn_util.Pool.parallel_banded}), so
+    a sweep shorter than 64 points — the Table 1 detector's 49-point sweep
+    — runs inline.  [points] is in frequency order regardless of [jobs]. *)
 
 val integrate : (float * float) array -> float
 (** Trapezoidal integration of a (frequency, PSD) series; returns the

@@ -616,12 +616,12 @@ let run ?jobs ?timeout_s ?(retries = 0) ?(prefilter = true) ?(stage_cache = true
       (fun () ->
         if Array.length pending = 0 then [||]
         else
-          (* whole jobs are the unit of stealing ([chunk:1]): jobs differ in
-             cost by orders of magnitude, so claiming them one at a time is
-             what keeps every domain busy until the manifest drains — while
-             a worker's warm workspaces (Fmat pools, placer scratch) carry
-             over across the consecutive jobs it claims *)
-          Mixsyn_util.Pool.parallel_mapi ?jobs ~chunk:1
+          (* whole jobs are the unit of stealing: the pool claims them one
+             at a time, which keeps every domain busy until the manifest
+             drains even though jobs differ in cost by orders of magnitude
+             — while a worker's warm workspaces (Fmat pools, placer
+             scratch) carry over across the consecutive jobs it claims *)
+          Mixsyn_util.Pool.parallel_mapi ~jobs:run_jobs
             (fun i job ->
               let r =
                 match decisions.(i) with

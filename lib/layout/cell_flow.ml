@@ -160,7 +160,7 @@ let symmetric_net_pairs nets =
 
 let max_placement_attempts = 4
 
-let koan ?(seed = 23) ?(coupling_budgets = []) ?restarts nl =
+let koan ?(seed = 23) ?(coupling_budgets = []) nl =
   Mixsyn_util.Telemetry.with_span "layout.koan" @@ fun () ->
   let items, nets, symmetry = items_of_netlist nl in
   let nets =
@@ -177,7 +177,7 @@ let koan ?(seed = 23) ?(coupling_budgets = []) ?restarts nl =
     Mixsyn_util.Telemetry.count "layout.placement_attempts";
     let placement =
       Mixsyn_util.Telemetry.with_span "layout.place" (fun () ->
-          Placer.place ~seed:(seed + (1000 * k)) ?restarts ~jobs:1 items symmetry)
+          Placer.place ~seed:(seed + (1000 * k)) items symmetry)
     in
     Mixsyn_util.Telemetry.with_span "layout.route" (fun () ->
         finish ~flow_name:(Printf.sprintf "koan-seed%d" seed) ~items ~placement ~nets

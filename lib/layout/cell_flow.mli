@@ -27,16 +27,13 @@ val classify_net : string -> Maze_router.net_class
 val koan :
   ?seed:int ->
   ?coupling_budgets:(string * float) list ->
-  ?restarts:int ->
   Mixsyn_circuit.Netlist.t ->
   report
 (** [coupling_budgets] activates ROAD-style parasitic-bounded routing for
-    the named nets.  [restarts] (default 1) forwards to {!Placer.place} as
-    annealing multi-starts per placement attempt.  Up to 4 placement
-    attempts run one after another, each with a fresh annealing seed, and
-    the first one that routes completely ends the search; when none does,
-    the attempt with the fewest failed nets wins (ties to the earlier
-    seed). *)
+    the named nets.  Up to 4 placement attempts run one after another,
+    each one {!Placer.place} chain with a fresh annealing seed, and the
+    first one that routes completely ends the search; when none does, the
+    attempt with the fewest failed nets wins (ties to the earlier seed). *)
 
 val procedural : ?style:int -> Mixsyn_circuit.Netlist.t -> report
 (** [style] in 0..3 selects one of four fixed row recipes. *)

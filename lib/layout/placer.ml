@@ -63,7 +63,7 @@ let orient_index = function
 (* The annealer proposes ~10^5 single-cell moves per chain.  Rebuilding
    realized cells, a fresh net table and all O(n^2) bloated boxes per move
    (the old [cost_parts]) allocated ~9e8 minor words per chain, and in
-   OCaml 5 every minor collection stops all domains — multistart chains
+   OCaml 5 every minor collection stops all domains — parallel chains
    serialized each other into a slowdown.  [Eval] keeps the placement
    state in flat arrays (per-cell footprint and halo-bloated boxes,
    per-net HPWL bounds over precomputed transformed pin offsets) and
@@ -647,7 +647,7 @@ let grid = 0.35e-6 (* placement grid: one lambda *)
 let snap v = Float.round (v /. grid) *. grid
 
 let place ?(rules = Rules.generic_07um) ?(weights = default_weights) ?schedule ?(seed = 17)
-    ?(restarts = 1) ?jobs items sym =
+    items sym =
   let n = Array.length items in
   let rng = Rng.create seed in
   (* initial spread: cells side by side with spacing *)
@@ -719,7 +719,5 @@ let place ?(rules = Rules.generic_07um) ?(weights = default_weights) ?schedule ?
       remember = Eval.remember;
       recall = Eval.recall }
   in
-  let outcome =
-    Mixsyn_opt.Anneal.minimize_moves_multistart ~schedule ?jobs ~restarts ~rng moves
-  in
+  let outcome = Mixsyn_opt.Anneal.minimize_moves ~schedule ~rng moves in
   Eval.placement outcome.Mixsyn_opt.Anneal.best

@@ -109,16 +109,13 @@ val place :
   ?weights:weights ->
   ?schedule:Mixsyn_opt.Anneal.schedule ->
   ?seed:int ->
-  ?restarts:int ->
-  ?jobs:int ->
   item array ->
   symmetry ->
   placement
-(** Anneal from a spread-out initial placement.  With [restarts > 1]
-    (default 1) independent chains run concurrently on the
-    {!Mixsyn_util.Pool} via {!Mixsyn_opt.Anneal.minimize_multistart}
-    and the best placement wins; the result depends only on [seed] and
-    [restarts], never on [jobs]. *)
+(** Anneal from a spread-out initial placement: one
+    {!Mixsyn_opt.Anneal.minimize_moves} chain over the incremental
+    evaluator {!Eval}, seeded by [seed].  The result depends only on its
+    arguments. *)
 
 val overlap_free : ?rules:Rules.t -> item array -> placement -> bool
 (** True geometric (halo-free) overlap freedom. *)

@@ -84,36 +84,6 @@ let minimize ?(schedule = default_schedule) ~rng problem =
   Mixsyn_util.Telemetry.add "anneal.stages" !stages;
   { best = !best; best_cost = !best_cost; accepted = !accepted; proposed = !proposed; stages = !stages }
 
-(* independent restarts evaluated on the domain pool.  Each restart gets
-   its own split RNG stream, so the set of chains is a function of [rng]
-   alone; the best-of reduction runs in restart order with a strict [<],
-   so ties resolve to the lowest restart index — together this makes the
-   outcome identical at any job count. *)
-let minimize_multistart ?schedule ?jobs ~restarts ~rng problem =
-  if restarts < 1 then
-    invalid_arg (Printf.sprintf "Anneal.minimize_multistart: %d restarts" restarts);
-  if restarts = 1 then minimize ?schedule ~rng problem
-  else begin
-    Mixsyn_util.Telemetry.count "anneal.multistarts";
-    let rngs = Mixsyn_util.Rng.split_n rng restarts in
-    let outcomes =
-      (* a whole chain is the unit of work: chains are few and expensive,
-         so band them one per worker claim *)
-      Mixsyn_util.Pool.parallel_map ?jobs ~chunk:1
-        (fun rng -> minimize ?schedule ~rng problem)
-        rngs
-    in
-    Array.fold_left
-      (fun acc o ->
-        { best = (if o.best_cost < acc.best_cost then o.best else acc.best);
-          best_cost = Float.min acc.best_cost o.best_cost;
-          accepted = acc.accepted + o.accepted;
-          proposed = acc.proposed + o.proposed;
-          stages = acc.stages + o.stages })
-      outcomes.(0)
-      (Array.sub outcomes 1 (restarts - 1))
-  end
-
 (* ---- move-based annealing over mutable state -------------------------- *)
 
 (* The pure [problem] API clones the whole state on every proposal, which
@@ -184,31 +154,3 @@ let minimize_moves ?(schedule = default_schedule) ~rng (m : 's moves) =
   Mixsyn_util.Telemetry.add "anneal.stages" !stages;
   { best = s; best_cost = exact_best; accepted = !accepted; proposed = !proposed;
     stages = !stages }
-
-(* same determinism contract as [minimize_multistart]: per-chain split RNG
-   streams, chunk 1, best-of reduction in restart order with strict [<] —
-   the outcome is a function of [rng] and [restarts] alone, never [jobs].
-   Each chain calls [m.create] on its own domain, so chains share nothing
-   mutable. *)
-let minimize_moves_multistart ?schedule ?jobs ~restarts ~rng (m : 's moves) =
-  if restarts < 1 then
-    invalid_arg (Printf.sprintf "Anneal.minimize_moves_multistart: %d restarts" restarts);
-  if restarts = 1 then minimize_moves ?schedule ~rng m
-  else begin
-    Mixsyn_util.Telemetry.count "anneal.multistarts";
-    let rngs = Mixsyn_util.Rng.split_n rng restarts in
-    let outcomes =
-      Mixsyn_util.Pool.parallel_map ?jobs ~chunk:1
-        (fun rng -> minimize_moves ?schedule ~rng m)
-        rngs
-    in
-    Array.fold_left
-      (fun acc o ->
-        { best = (if o.best_cost < acc.best_cost then o.best else acc.best);
-          best_cost = Float.min acc.best_cost o.best_cost;
-          accepted = acc.accepted + o.accepted;
-          proposed = acc.proposed + o.proposed;
-          stages = acc.stages + o.stages })
-      outcomes.(0)
-      (Array.sub outcomes 1 (restarts - 1))
-  end

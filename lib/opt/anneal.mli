@@ -44,24 +44,6 @@ val minimize :
     @raise Invalid_argument when the schedule cannot terminate:
     [cooling] outside [(0, 1)], or [t_start]/[t_end] not positive. *)
 
-val minimize_multistart :
-  ?schedule:schedule ->
-  ?jobs:int ->
-  restarts:int ->
-  rng:Mixsyn_util.Rng.t ->
-  'a problem ->
-  'a outcome
-(** [restarts] independent chains, each on its own {!Mixsyn_util.Rng.split_n}
-    stream, evaluated concurrently on the {!Mixsyn_util.Pool} ([jobs]
-    defaults to [Pool.default_jobs ()]); chains are few and expensive, so
-    each is claimed as its own unit of work ([chunk = 1]).  Returns the lowest-cost chain's
-    best (ties to the lowest restart index) with move statistics summed
-    over all chains; the outcome depends only on [rng] and [restarts],
-    never on [jobs].  [restarts = 1] is exactly [minimize ~rng] — the
-    single chain consumes [rng] directly, without splitting.
-    @raise Invalid_argument when [restarts < 1] or the schedule is
-    divergent. *)
-
 (** {2 Move-based annealing over mutable state}
 
     The pure {!problem} API clones the whole state per proposal — fine for
@@ -74,7 +56,7 @@ val minimize_multistart :
 type 's moves = {
   create : unit -> 's;
       (** fresh chain state at the initial configuration; called once per
-          chain, on the domain that runs the chain *)
+          chain *)
   full_cost : 's -> float;
       (** exact cost of the current configuration (used at chain start,
           once per stage to resync accumulated deltas, and for the final
@@ -98,17 +80,3 @@ val minimize_moves :
     is the chain's state after [recall] — mutable, owned by the caller.
     Reports the same telemetry counters as {!minimize}.
     @raise Invalid_argument for divergent schedules, as {!minimize}. *)
-
-val minimize_moves_multistart :
-  ?schedule:schedule ->
-  ?jobs:int ->
-  restarts:int ->
-  rng:Mixsyn_util.Rng.t ->
-  's moves ->
-  's outcome
-(** Independent chains on the pool, one {!moves.create}d state per chain
-    (nothing mutable is shared), with the same split-stream/chunk-1/
-    restart-order reduction as {!minimize_multistart} — the outcome
-    depends only on [rng] and [restarts], never on [jobs].
-    @raise Invalid_argument when [restarts < 1] or the schedule is
-    divergent. *)

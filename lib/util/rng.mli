@@ -17,8 +17,8 @@ val split : t -> t
 
 val split_n : t -> int -> t array
 (** [split_n rng n] advances [rng] [n] times and returns [n] independent
-    generators — one deterministic stream per parallel worker, so a
-    multi-start run is reproducible at any job count.
+    generators — one deterministic stream per independent chain, so a run
+    that hands its chains to the pool is reproducible at any job count.
     @raise Invalid_argument when [n < 0]. *)
 
 val int : t -> int -> int

@@ -224,6 +224,20 @@ let test_journal_jobs_invariant () =
         Alcotest.failf "journal bytes differ between jobs=1 and jobs=%d" jobs)
     [ 2; 4 ]
 
+let test_workers_within_cores () =
+  (* the summary reports the domains that actually ran: never more than
+     the host's cores, whatever --jobs asked for *)
+  let manifest = simple_manifest 6 in
+  List.iter
+    (fun jobs ->
+      let s, _ = run_to_journal ~jobs manifest in
+      let cores = Mixsyn_util.Pool.available_cores () in
+      if s.Batch.run_jobs > cores then
+        Alcotest.failf "jobs=%d: %d workers reported on %d core(s)" jobs s.Batch.run_jobs cores;
+      Alcotest.(check int) (Printf.sprintf "workers at jobs=%d" jobs)
+        (min jobs (min 6 cores)) s.Batch.run_jobs)
+    [ 1; 4; 64 ]
+
 let test_journal_resume_skips () =
   let manifest = simple_manifest 9 in
   let journal = temp_journal () in
@@ -535,6 +549,7 @@ let () =
           Alcotest.test_case "retries exhausted" `Quick test_run_job_retries_exhausted ] );
       ( "journal",
         [ Alcotest.test_case "jobs invariant" `Quick test_journal_jobs_invariant;
+          Alcotest.test_case "workers within cores" `Quick test_workers_within_cores;
           Alcotest.test_case "resume skips" `Quick test_journal_resume_skips;
           Alcotest.test_case "torn line resume" `Quick test_journal_resume_truncated_line;
           Alcotest.test_case "foreign record" `Quick test_journal_foreign_record_rejected;

@@ -150,17 +150,6 @@ let test_moves_deterministic () =
   in
   check_close ~eps:0.0 "same seed same result" (run ()) (run ())
 
-let test_moves_multistart_jobs_invariant () =
-  let run jobs =
-    let rng = Rng.create 7 in
-    Anneal.minimize_moves_multistart ~jobs ~restarts:4 ~rng quadratic_moves
-  in
-  let r1 = run 1 and r2 = run 2 and r4 = run 4 in
-  check_close ~eps:0.0 "jobs 1 = jobs 2" r1.Anneal.best_cost r2.Anneal.best_cost;
-  check_close ~eps:0.0 "jobs 1 = jobs 4" r1.Anneal.best_cost r4.Anneal.best_cost;
-  Alcotest.(check bool) "same winning state" true (r1.Anneal.best.xs = r4.Anneal.best.xs);
-  Alcotest.(check int) "same total proposals" r1.Anneal.proposed r4.Anneal.proposed
-
 let test_moves_rejects_divergent_schedule () =
   let rng = Rng.create 1 in
   let schedule = { Anneal.t_start = 10.0; t_end = 1e-3; cooling = 1.5; moves_per_stage = 5 } in
@@ -168,12 +157,6 @@ let test_moves_rejects_divergent_schedule () =
   | exception Invalid_argument msg ->
     if not (String.length msg > 0) then Alcotest.fail "empty error"
   | _ -> Alcotest.fail "divergent schedule accepted"
-
-let test_moves_multistart_rejects_zero_restarts () =
-  let rng = Rng.create 1 in
-  match Anneal.minimize_moves_multistart ~restarts:0 ~rng quadratic_moves with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "restarts = 0 accepted"
 
 (* --- nelder-mead -------------------------------------------------------- *)
 
@@ -254,12 +237,8 @@ let () =
       ( "anneal-moves",
         [ Alcotest.test_case "quadratic" `Quick test_moves_quadratic;
           Alcotest.test_case "deterministic" `Quick test_moves_deterministic;
-          Alcotest.test_case "multistart invariant in jobs" `Quick
-            test_moves_multistart_jobs_invariant;
           Alcotest.test_case "rejects divergent schedule" `Quick
-            test_moves_rejects_divergent_schedule;
-          Alcotest.test_case "rejects zero restarts" `Quick
-            test_moves_multistart_rejects_zero_restarts ] );
+            test_moves_rejects_divergent_schedule ] );
       ( "nelder-mead",
         [ Alcotest.test_case "rosenbrock" `Quick test_nm_rosenbrock;
           Alcotest.test_case "bounds" `Quick test_nm_respects_bounds ] );

@@ -4,7 +4,6 @@
 
 module Pool = Mixsyn_util.Pool
 module Rng = Mixsyn_util.Rng
-module Anneal = Mixsyn_opt.Anneal
 module GA = Mixsyn_opt.Genetic
 module CS = Mixsyn_opt.Corner_search
 module Top = Mixsyn_circuit.Topology
@@ -33,58 +32,23 @@ let test_map_edge_cases () =
     (Pool.parallel_map ~jobs:8 (fun x -> x * x) [| 3 |]);
   Alcotest.(check (array int)) "init" [| 0; 1; 4; 9 |]
     (Pool.parallel_init ~jobs:3 4 (fun i -> i * i));
-  (match Pool.parallel_init ~jobs:2 (-1) (fun i -> i) with
+  match Pool.parallel_init ~jobs:2 (-1) (fun i -> i) with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "parallel_init (-1) must raise");
-  Alcotest.(check (list int)) "map_list" [ 2; 3; 4 ]
-    (Pool.parallel_map_list ~jobs:4 succ [ 1; 2; 3 ])
+  | _ -> Alcotest.fail "parallel_init (-1) must raise"
 
 let test_chunk_granularity () =
-  (* the band size is a scheduling knob only: any chunk yields the
+  (* participants claim one item at a time: any job count yields the
      sequential answer, in order *)
   let input = Array.init 257 (fun i -> i) in
   let f x = (x * 7) - 1 in
   let expected = Array.map f input in
   List.iter
-    (fun (jobs, chunk) ->
-      let got = Pool.parallel_map ~jobs ~chunk f input in
-      if got <> expected then
-        Alcotest.failf "parallel_map mismatch at jobs=%d chunk=%d" jobs chunk)
-    [ (1, 1); (4, 1); (4, 7); (4, 64); (4, 10_000); (64, 3) ];
-  (* non-commutative reduce: index order must survive any banding *)
-  let strings = Array.init 100 (fun i -> i) in
-  let seq = String.concat "" (List.map string_of_int (Array.to_list strings)) in
-  List.iter
-    (fun chunk ->
-      Alcotest.(check string) (Printf.sprintf "reduce chunk=%d" chunk) seq
-        (Pool.parallel_reduce ~jobs:4 ~chunk ~map:string_of_int ~combine:( ^ ) ~init:""
-           strings))
-    [ 1; 13; 1000 ];
-  Alcotest.(check (array int)) "init with chunk" [| 0; 1; 4; 9 |]
-    (Pool.parallel_init ~jobs:3 ~chunk:2 4 (fun i -> i * i));
-  Alcotest.(check (list int)) "map_list with chunk" [ 2; 3; 4 ]
-    (Pool.parallel_map_list ~jobs:4 ~chunk:1 succ [ 1; 2; 3 ]);
-  (* a non-positive chunk is rejected on every path, including the
-     sequential jobs=1 short cut *)
-  List.iter
-    (fun (jobs, chunk) ->
-      match Pool.parallel_map ~jobs ~chunk (fun x -> x) [| 1; 2 |] with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "chunk=%d at jobs=%d must raise" chunk jobs)
-    [ (4, 0); (4, -3); (1, 0) ]
-
-let test_reduce_index_order () =
-  (* string concatenation is non-commutative: only an index-ordered
-     reduction gives the sequential answer *)
-  let input = Array.init 100 (fun i -> i) in
-  let expected = String.concat "" (List.map string_of_int (Array.to_list input)) in
-  List.iter
     (fun jobs ->
-      let got =
-        Pool.parallel_reduce ~jobs ~map:string_of_int ~combine:( ^ ) ~init:"" input
-      in
-      Alcotest.(check string) (Printf.sprintf "reduce jobs=%d" jobs) expected got)
-    [ 1; 3; 64 ]
+      let got = Pool.parallel_map ~jobs f input in
+      if got <> expected then Alcotest.failf "parallel_map mismatch at jobs=%d" jobs)
+    [ 1; 4; 64 ];
+  Alcotest.(check (array int)) "init" [| 0; 1; 4; 9 |]
+    (Pool.parallel_init ~jobs:3 4 (fun i -> i * i))
 
 exception Boom of int
 
@@ -108,7 +72,11 @@ let test_nested_calls () =
         Array.fold_left ( + ) 0 (Pool.parallel_init ~jobs:4 10 (fun j -> (i * 10) + j)))
   in
   let expected = Array.init 8 (fun i -> (100 * i) + 45) in
-  Alcotest.(check (array int)) "nested" expected outer
+  Alcotest.(check (array int)) "nested" expected outer;
+  (* that holds for the items the calling domain runs too, so none of them
+     queues helpers behind the workers' own items *)
+  Alcotest.(check (array int)) "nested calls plan one domain" (Array.make 8 1)
+    (Pool.parallel_init ~jobs:4 8 (fun _ -> Pool.effective_jobs (Some 4) 10))
 
 let test_default_jobs_override () =
   let before = Pool.default_jobs () in
@@ -152,16 +120,15 @@ let test_jobs_validation () =
 
 let test_float_results_unboxed_sound () =
   (* results assemble into a flat float array (no option boxing); every
-     element must read back exactly, at any jobs/chunk *)
+     element must read back exactly, at any jobs *)
   let input = Array.init 301 (fun i -> float_of_int i) in
   let f x = (x *. 1.5) -. 0.25 in
   let expected = Array.map f input in
   List.iter
-    (fun (jobs, chunk) ->
-      let got = Pool.parallel_map ~jobs ~chunk f input in
-      if got <> expected then
-        Alcotest.failf "float parallel_map mismatch at jobs=%d chunk=%d" jobs chunk)
-    [ (1, 1); (2, 1); (4, 7); (4, 1000) ];
+    (fun jobs ->
+      let got = Pool.parallel_map ~jobs f input in
+      if got <> expected then Alcotest.failf "float parallel_map mismatch at jobs=%d" jobs)
+    [ 1; 2; 4 ];
   (* failure at index 0 exercises the no-successful-piece path *)
   (match
      Pool.parallel_map ~jobs:4 (fun x -> if x = 0.0 then raise (Boom 0) else x) input
@@ -170,97 +137,100 @@ let test_float_results_unboxed_sound () =
   | exception Boom 0 -> ()
   | exception Boom i -> Alcotest.failf "wrong index %d" i)
 
-let test_grain_fallback () =
-  (* an absurdly high work threshold: after the first (timed) call the
-     learned estimate sends later calls down the sequential path, with
-     identical results either way *)
-  let g = Pool.grain ~min_work_s:1e9 "test.tiny" in
-  Alcotest.(check bool) "estimate starts empty" true (Pool.grain_estimate g = None);
-  let input = Array.init 64 (fun i -> i) in
-  let expected = Array.map succ input in
-  let first = Pool.parallel_map ~jobs:4 ~grain:g succ input in
-  Alcotest.(check (array int)) "first call" expected first;
-  (match Pool.grain_estimate g with
-  | Some est -> if est < 0.0 then Alcotest.failf "negative estimate %g" est
-  | None -> Alcotest.fail "no estimate learned");
-  Mixsyn_util.Telemetry.reset ();
-  let second = Pool.parallel_map ~jobs:4 ~grain:g succ input in
-  Alcotest.(check (array int)) "second call" expected second;
-  if Mixsyn_util.Telemetry.counter "pool.grain_fallbacks" < 1 then
-    Alcotest.fail "tiny workload was not routed sequentially";
-  (* a zero threshold never falls back *)
-  let eager = Pool.grain ~min_work_s:0.0 "test.eager" in
-  ignore (Pool.parallel_map ~jobs:4 ~grain:eager succ input);
-  Mixsyn_util.Telemetry.reset ();
-  ignore (Pool.parallel_map ~jobs:4 ~grain:eager succ input);
-  Alcotest.(check int) "no fallback at zero threshold" 0
-    (Mixsyn_util.Telemetry.counter "pool.grain_fallbacks")
-
 let test_banded_matches_sequential () =
-  (* parallel_banded must agree with a plain index map at any jobs/band
-     size, including bands that don't divide n *)
-  let n = 257 in
-  let expected = Array.init n (fun i -> (i * 3) + 1 ) in
-  let f start len = Array.init len (fun k -> ((start + k) * 3) + 1) in
+  (* parallel_banded must agree with a plain index map at any jobs, on
+     lengths whose bands don't divide them evenly *)
   List.iter
-    (fun (jobs, chunk) ->
-      let got = Pool.parallel_banded ~jobs ?chunk n f in
-      if got <> expected then
-        Alcotest.failf "parallel_banded mismatch at jobs=%d chunk=%s" jobs
-          (match chunk with Some c -> string_of_int c | None -> "auto"))
-    [ (1, None); (4, None); (4, Some 1); (4, Some 7); (4, Some 64); (4, Some 10_000);
-      (64, Some 3) ];
+    (fun n ->
+      let expected = Array.init n (fun i -> (i * 3) + 1) in
+      let f start len = Array.init len (fun k -> ((start + k) * 3) + 1) in
+      List.iter
+        (fun jobs ->
+          let got = Pool.parallel_banded ~jobs n f in
+          if got <> expected then
+            Alcotest.failf "parallel_banded mismatch at n=%d jobs=%d" n jobs)
+        [ 1; 4; 64 ])
+    [ 1; 63; 64; 77; 257 ];
+  let f start len = Array.init len (fun k -> start + k) in
   Alcotest.(check (array int)) "empty" [||] (Pool.parallel_banded ~jobs:4 0 f);
   (* a band returning the wrong number of results is a caller bug *)
-  (match Pool.parallel_banded ~jobs:4 ~chunk:8 16 (fun _ len -> Array.make (len + 1) 0) with
+  (match Pool.parallel_banded ~jobs:4 16 (fun _ len -> Array.make (len + 1) 0) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "wrong band length must raise");
   (match Pool.parallel_banded ~jobs:2 (-1) f with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative n must raise");
   (* exception determinism at band granularity: the smallest failing band
-     wins whatever the scheduling *)
+     wins whatever the scheduling.  On more than one domain, 200 points cut
+     into 6 bands starting at 0, 33, 66, 100, 133 and 166; every band
+     reaching index 50 fails.  On one domain the sweep is the single band
+     starting at 0. *)
+  let first_failing = if Pool.available_cores () > 1 then 33 else 0 in
   for _ = 1 to 5 do
     match
-      Pool.parallel_banded ~jobs:4 ~chunk:10 200 (fun start len ->
+      Pool.parallel_banded ~jobs:4 200 (fun start len ->
           if start + len > 50 then raise (Boom start) else Array.make len 0)
     with
     | _ -> Alcotest.fail "expected Boom"
-    | exception Boom i -> Alcotest.(check int) "min failing band" 50 i
+    | exception Boom i -> Alcotest.(check int) "min failing band" first_failing i
   done
 
-let test_small_sweep_fallback () =
-  (* the ac-sweep 0.52x regression: a sub-threshold sweep must take the
-     sequential path once the grain has a seconds-per-item estimate,
-     instead of paying domain fan-out for microseconds of work *)
-  let nl = Top.miller_ota.Tp.build tech (Tp.midpoint Top.miller_ota) in
-  let op = Mixsyn_engine.Dc.solve ~tech nl in
-  let freqs =
-    Mixsyn_engine.Ac.log_sweep ~decades_from:0.0 ~decades_to:8.0 ~points_per_decade:5
+(* the band rule reads only the point count, so it holds from the first
+   call: a sweep shorter than two 32-point bands runs inline (counted as a
+   fallback while other domains were available), a longer one fans out
+   once.  [expect_bands] runs [run 4], checks the counters it leaves, and
+   checks its result equals [run 1] *)
+let expect_bands what ~parallel run =
+  let module T = Mixsyn_util.Telemetry in
+  T.reset ();
+  let r4 = run 4 in
+  let runs = T.counter "pool.parallel_runs" and falls = T.counter "pool.grain_fallbacks" in
+  let want_runs, want_falls =
+    if Pool.available_cores () = 1 then (0, 0) else if parallel then (1, 0) else (0, 1)
   in
-  (* first call may probe in parallel; it teaches the grain the per-item cost *)
-  let first = Mixsyn_engine.Ac.solve ~tech ~jobs:4 nl op ~freqs in
-  Mixsyn_util.Telemetry.reset ();
-  let second = Mixsyn_engine.Ac.solve ~tech ~jobs:4 nl op ~freqs in
-  if first.Mixsyn_engine.Ac.solutions <> second.Mixsyn_engine.Ac.solutions then
-    Alcotest.fail "fallback changed the sweep's results";
-  if Mixsyn_util.Telemetry.counter "pool.grain_fallbacks" < 1 then
-    Alcotest.fail "a 41-point sweep was not routed down the sequential path"
+  Alcotest.(check int) (what ^ ": parallel runs") want_runs runs;
+  Alcotest.(check int) (what ^ ": fallbacks") want_falls falls;
+  if r4 <> run 1 then Alcotest.failf "%s: jobs 4 differs from jobs 1" what
 
-let test_worker_minor_heap_knob () =
-  let before = Pool.worker_minor_heap_words () in
-  Pool.set_worker_minor_heap_words (1 lsl 20);
-  Alcotest.(check int) "roundtrip" (1 lsl 20) (Pool.worker_minor_heap_words ());
-  List.iter
-    (fun n ->
-      match Pool.set_worker_minor_heap_words n with
-      | exception Invalid_argument _ -> ()
-      | () -> Alcotest.failf "minor heap of %d words accepted" n)
-    [ 0; -1; 1 lsl 10 ];
-  Pool.set_worker_minor_heap_words before;
-  (* workers spawned with the configured heap still compute correctly *)
-  Alcotest.(check (array int)) "pool functional" [| 1; 2; 3; 4 |]
-    (Pool.parallel_init ~jobs:4 4 (fun i -> i + 1))
+let log_sweep ~from ~upto ~ppd =
+  Mixsyn_engine.Ac.log_sweep ~decades_from:from ~decades_to:upto ~points_per_decade:ppd
+
+let ota_ac freqs =
+  let ota = Top.miller_ota.Tp.build tech (Tp.midpoint Top.miller_ota) in
+  let op = Mixsyn_engine.Dc.solve ~tech ota in
+  fun jobs -> (Mixsyn_engine.Ac.solve ~tech ~jobs ota op ~freqs).Mixsyn_engine.Ac.solutions
+
+let test_grain_fallback () =
+  (* the pool side of the rule: 63 points fall back, 64 fan out, and one
+     domain leaves nothing to fall back from *)
+  let f start len = Array.init len (fun k -> float_of_int (start + k) *. 0.5) in
+  expect_bands "63 points" ~parallel:false (fun jobs -> Pool.parallel_banded ~jobs 63 f);
+  expect_bands "64 points" ~parallel:true (fun jobs -> Pool.parallel_banded ~jobs 64 f);
+  Mixsyn_util.Telemetry.reset ();
+  ignore (Pool.parallel_banded ~jobs:1 63 f);
+  Alcotest.(check int) "no fallback at jobs 1" 0
+    (Mixsyn_util.Telemetry.counter "pool.grain_fallbacks");
+  (* the 64-point sweep of [ac + noise sweeps] and the flow's 77-point
+     sweep fan out from their first call *)
+  let freqs64 = log_sweep ~from:0.0 ~upto:9.0 ~ppd:7 in
+  Alcotest.(check (list int)) "sweep lengths" [ 64; 77 ]
+    (List.map Array.length [ freqs64; Mixsyn_synth.Evaluate.sweep_freqs ]);
+  expect_bands "64-point AC sweep" ~parallel:true (ota_ac freqs64);
+  expect_bands "77-point AC sweep" ~parallel:true (ota_ac Mixsyn_synth.Evaluate.sweep_freqs)
+
+let test_small_sweep_fallback () =
+  (* the ac-sweep 0.52x regression: a short sweep must run inline instead
+     of paying domain fan-out for microseconds of work, from its first call *)
+  let freqs41 = log_sweep ~from:0.0 ~upto:8.0 ~ppd:5 in
+  Alcotest.(check int) "AC sweep length" 41 (Array.length freqs41);
+  expect_bands "41-point AC sweep" ~parallel:false (ota_ac freqs41);
+  let det = Mixsyn_circuit.Detector.build tech Mixsyn_circuit.Detector.expert_manual_sizing in
+  let det_op = Mixsyn_engine.Dc.solve ~tech det in
+  let det_out = Mixsyn_circuit.Netlist.find_net det "out" in
+  let det_freqs = log_sweep ~from:2.0 ~upto:8.0 ~ppd:8 in
+  Alcotest.(check int) "detector sweep length" 49 (Array.length det_freqs);
+  expect_bands "49-point detector noise sweep" ~parallel:false (fun jobs ->
+      Mixsyn_engine.Noise.analyze ~tech ~jobs det det_op ~out:det_out ~freqs:det_freqs)
 
 let test_sequential_scope () =
   (* inside the scope, parallel calls degrade to sequential (the calling
@@ -272,7 +242,8 @@ let test_sequential_scope () =
   in
   Alcotest.(check (array int)) "scope results" [| 0; 1; 4; 9; 16; 25 |] inside;
   (* and the job count a caller would plan with says so *)
-  Alcotest.(check int) "effective jobs outside" 6 (Pool.effective_jobs (Some 8) 6);
+  Alcotest.(check int) "effective jobs outside" (min 6 (Pool.available_cores ()))
+    (Pool.effective_jobs (Some 8) 6);
   Alcotest.(check int) "effective jobs inside" 1
     (Pool.sequential_scope (fun () -> Pool.effective_jobs (Some 8) 6));
   (try Pool.sequential_scope (fun () -> failwith "x") with Failure _ -> ());
@@ -317,33 +288,6 @@ let test_corner_search_jobs_invariant () =
   Alcotest.(check int) "evals" e1 e4;
   if c1 <> c4 then Alcotest.fail "corner differs between jobs=1 and jobs=4"
 
-let test_multistart_jobs_invariant () =
-  let problem =
-    { Anneal.initial = [| 8.0; -6.0 |];
-      cost = (fun x -> ((x.(0) -. 2.0) ** 2.0) +. ((x.(1) +. 1.0) ** 2.0));
-      neighbor =
-        (fun rng ~temp01 x ->
-          let x' = Array.copy x in
-          let i = Rng.int rng 2 in
-          x'.(i) <- x'.(i) +. (Rng.uniform rng (-1.0) 1.0 *. (0.1 +. temp01));
-          x') }
-  in
-  let schedule = { Anneal.t_start = 10.0; t_end = 1e-4; cooling = 0.9; moves_per_stage = 60 } in
-  let run jobs =
-    Anneal.minimize_multistart ~schedule ~jobs ~restarts:4 ~rng:(Rng.create 7) problem
-  in
-  let a = run 1 and b = run 4 in
-  if a <> b then Alcotest.fail "multistart outcome differs between jobs=1 and jobs=4";
-  (* restarts = 1 consumes the rng directly, exactly like minimize *)
-  let single = Anneal.minimize_multistart ~schedule ~jobs:4 ~restarts:1 ~rng:(Rng.create 7) problem in
-  let direct = Anneal.minimize ~schedule ~rng:(Rng.create 7) problem in
-  if single <> direct then Alcotest.fail "restarts=1 must equal plain minimize";
-  (match
-     Anneal.minimize_multistart ~schedule ~restarts:0 ~rng:(Rng.create 7) problem
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "restarts=0 must raise")
-
 let test_genetic_jobs_invariant () =
   let fitness x = -.(((x.(0) -. 0.3) ** 2.0) +. ((x.(1) +. 0.8) ** 2.0)) in
   let options = { GA.default_options with GA.population = 24; generations = 12 } in
@@ -364,13 +308,6 @@ let test_sweeps_jobs_invariant () =
   let ac4 = Mixsyn_engine.Ac.solve ~tech ~jobs:4 nl op ~freqs in
   if ac1.Mixsyn_engine.Ac.solutions <> ac4.Mixsyn_engine.Ac.solutions then
     Alcotest.fail "AC solutions differ between jobs=1 and jobs=4";
-  (* nor may the band size change anything *)
-  List.iter
-    (fun chunk ->
-      let ac = Mixsyn_engine.Ac.solve ~tech ~jobs:4 ~chunk nl op ~freqs in
-      if ac.Mixsyn_engine.Ac.solutions <> ac1.Mixsyn_engine.Ac.solutions then
-        Alcotest.failf "AC solutions differ at chunk=%d" chunk)
-    [ 1; 5; 1000 ];
   let out = Mixsyn_circuit.Netlist.find_net nl "out" in
   let n1 = Mixsyn_engine.Noise.analyze ~tech ~jobs:1 nl op ~out ~freqs in
   let n4 = Mixsyn_engine.Noise.analyze ~tech ~jobs:4 nl op ~out ~freqs in
@@ -434,7 +371,6 @@ let () =
         [ Alcotest.test_case "map matches sequential" `Quick test_map_matches_sequential;
           Alcotest.test_case "map edge cases" `Quick test_map_edge_cases;
           Alcotest.test_case "chunk granularity" `Quick test_chunk_granularity;
-          Alcotest.test_case "reduce in index order" `Quick test_reduce_index_order;
           Alcotest.test_case "min-index exception" `Quick test_exception_propagation;
           Alcotest.test_case "nested calls" `Quick test_nested_calls;
           Alcotest.test_case "default-jobs override" `Quick test_default_jobs_override;
@@ -443,13 +379,11 @@ let () =
           Alcotest.test_case "grain fallback" `Quick test_grain_fallback;
           Alcotest.test_case "banded map" `Quick test_banded_matches_sequential;
           Alcotest.test_case "small sweep falls back" `Quick test_small_sweep_fallback;
-          Alcotest.test_case "worker minor-heap knob" `Quick test_worker_minor_heap_knob;
           Alcotest.test_case "sequential scope" `Quick test_sequential_scope ] );
       ( "rng",
         [ Alcotest.test_case "split_n streams" `Quick test_split_n_streams ] );
       ( "wired-loops",
         [ Alcotest.test_case "corner search" `Quick test_corner_search_jobs_invariant;
-          Alcotest.test_case "anneal multistart" `Quick test_multistart_jobs_invariant;
           Alcotest.test_case "genetic fitness" `Quick test_genetic_jobs_invariant;
           Alcotest.test_case "ac + noise sweeps" `Quick test_sweeps_jobs_invariant;
           Alcotest.test_case "flow placement retries" `Slow test_flow_lazy_placement_retries ] );

@@ -495,7 +495,7 @@ let test_telemetry_counters_merge_across_domains () =
     (fun jobs ->
       T.reset ();
       ignore
-        (Mixsyn_util.Pool.parallel_init ~jobs ~chunk:1 40 (fun i ->
+        (Mixsyn_util.Pool.parallel_init ~jobs 40 (fun i ->
              T.count "shard.hits";
              T.add "shard.bytes" i;
              i));
