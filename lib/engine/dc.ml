@@ -1,128 +1,37 @@
-module Netlist = Mixsyn_circuit.Netlist
 module Fmat = Mixsyn_util.Fmat
 
 exception No_convergence of string
 
-(* Assemble the Newton-linearised MNA system A x_new = b around the current
-   guess [x], stamping straight into the reusable flat workspace [ws].
-   Independent sources are scaled by [alpha] for continuation. *)
-let assemble tech nl (layout : Mna.layout) ws x ~alpha ~gmin =
-  Fmat.Real.clear ws;
-  let v net = if net = Netlist.gnd then 0.0 else x.(Mna.node_index net) in
-  let evals = ref [] in
-  let branch = ref (layout.Mna.nets - 1) in
-  let stamp = Fmat.Real.stamp ws and rhs = Fmat.Real.rhs ws in
-  let each = function
-    | Netlist.Resistor { a = na; b = nb; ohms; _ } ->
-      let g = 1.0 /. ohms in
-      let ia = Mna.node_index na and ib = Mna.node_index nb in
-      stamp ia ia g;
-      stamp ib ib g;
-      stamp ia ib (-.g);
-      stamp ib ia (-.g)
-    | Netlist.Capacitor _ -> ()
-    | Netlist.Vccs { p; n = nn; cp; cn; gm; _ } ->
-      let ip = Mna.node_index p and inn = Mna.node_index nn in
-      let icp = Mna.node_index cp and icn = Mna.node_index cn in
-      stamp ip icp gm;
-      stamp ip icn (-.gm);
-      stamp inn icp (-.gm);
-      stamp inn icn gm
-    | Netlist.Isource { p; n = nn; dc; _ } ->
-      (* positive dc injects current into node p *)
-      rhs (Mna.node_index p) (alpha *. dc);
-      rhs (Mna.node_index nn) (-.(alpha *. dc))
-    | Netlist.Vsource { p; n = nn; dc; _ } ->
-      let row = !branch in
-      incr branch;
-      let ip = Mna.node_index p and inn = Mna.node_index nn in
-      stamp ip row 1.0;
-      stamp inn row (-1.0);
-      stamp row ip 1.0;
-      stamp row inn (-1.0);
-      rhs row (alpha *. dc)
-    | Netlist.Mos m ->
-      let e =
-        Mos_model.evaluate tech m ~vd:(v m.Netlist.drain) ~vg:(v m.Netlist.gate)
-          ~vs:(v m.Netlist.source) ~vb:(v m.Netlist.bulk)
-      in
-      evals := (m, e) :: !evals;
-      let id = Mna.node_index m.Netlist.drain
-      and ig = Mna.node_index m.Netlist.gate
-      and is = Mna.node_index m.Netlist.source
-      and ib = Mna.node_index m.Netlist.bulk in
-      let open Mos_model in
-      stamp id id e.did_dvd;
-      stamp id ig e.did_dvg;
-      stamp id is e.did_dvs;
-      stamp id ib e.did_dvb;
-      stamp is id (-.e.did_dvd);
-      stamp is ig (-.e.did_dvg);
-      stamp is is (-.e.did_dvs);
-      stamp is ib (-.e.did_dvb);
-      (* residual correction: i_lin = ids + J.(v_new - v0), so the constant
-         part (ids minus J.v at the expansion point) moves to the RHS *)
-      let linear_at_op =
-        (e.did_dvd *. v m.Netlist.drain)
-        +. (e.did_dvg *. v m.Netlist.gate)
-        +. (e.did_dvs *. v m.Netlist.source)
-        +. (e.did_dvb *. v m.Netlist.bulk)
-      in
-      let const = e.ids -. linear_at_op in
-      rhs id (-.const);
-      rhs is const
-  in
-  List.iter each (Netlist.elements nl);
-  (* gmin from every node to ground keeps floating gates solvable *)
-  for i = 0 to layout.Mna.nets - 2 do
-    stamp i i gmin
-  done;
-  List.rev !evals
-
-let newton tech nl layout ws ~x0 ~alpha ~gmin ~max_iterations =
+let newton tech p ws ~x0 ~alpha ~gmin ~max_iterations =
+  Newton.scale_sources p alpha;
+  Newton.set_gmin p gmin;
   let x = Array.copy x0 in
-  let n = layout.Mna.size in
-  let x_new = Array.make n 0.0 in
+  let x_new = Array.make (Array.length x0) 0.0 in
   let iterations_run = ref 0 in
   let rec loop iter =
     incr iterations_run;
     if iter > max_iterations then None
-    else begin
-      let evals = assemble tech nl layout ws x ~alpha ~gmin in
-      match
-        Fmat.Real.factor ws;
-        Fmat.Real.solve ws x_new
-      with
+    else
+      match Newton.iterate tech p ws x x_new with
       | exception Fmat.Singular _ -> None
-      | () ->
-        let max_delta = ref 0.0 in
-        for i = 0 to n - 1 do
-          max_delta := Float.max !max_delta (Float.abs (x_new.(i) -. x.(i)))
-        done;
-        (* damp: cap voltage updates at 0.5 V to avoid square-law overshoot *)
-        let limit = 0.5 in
-        let scale = if !max_delta > limit then limit /. !max_delta else 1.0 in
-        for i = 0 to n - 1 do
-          x.(i) <- x.(i) +. (scale *. (x_new.(i) -. x.(i)))
-        done;
-        if !max_delta < 1e-9 then Some (x, evals, iter)
-        else loop (iter + 1)
-    end
+      | max_delta -> if max_delta < 1e-9 then Some (x, iter) else loop (iter + 1)
   in
   let r = loop 1 in
   Mixsyn_util.Telemetry.add "dc.newton_iterations" !iterations_run;
   (match r with None -> Mixsyn_util.Telemetry.count "dc.newton_failures" | Some _ -> ());
   r
 
-let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(gmin = 1e-9) ?(max_iterations = 200) nl =
+let solve_compiled tech (layout : Mna.layout) p ~gmin ~max_iterations =
   Mixsyn_util.Telemetry.count "dc.solves";
-  let layout = Mna.layout_of nl in
   (* one flat workspace from this domain's pool serves every Newton
      iteration and every continuation step of this solve *)
   Fmat.with_real layout.Mna.size @@ fun ws ->
-  let newton = newton tech nl layout ws in
+  let newton = newton tech p ws in
   let zeros = Array.make layout.Mna.size 0.0 in
-  let finish (x, evals, iterations) = { Mna.op_layout = layout; x; mos_evals = evals; iterations } in
+  (* the device evaluations are those of the final assembly *)
+  let finish (x, iterations) =
+    { Mna.op_layout = layout; x; mos_evals = Newton.mos_evals p; iterations }
+  in
   match newton ~x0:zeros ~alpha:1.0 ~gmin ~max_iterations with
   | Some result -> finish result
   | None ->
@@ -133,8 +42,7 @@ let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(gmin = 1e-9) ?(max_iterat
       | [] -> None
       | alpha :: rest ->
         (match newton ~x0 ~alpha ~gmin ~max_iterations with
-         | Some (x, evals, it) ->
-           if rest = [] then Some (x, evals, it) else continue x rest
+         | Some (x, it) -> if rest = [] then Some (x, it) else continue x rest
          | None -> None)
     in
     (match continue zeros steps with
@@ -146,8 +54,7 @@ let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(gmin = 1e-9) ?(max_iterat
          | [] -> None
          | g :: rest ->
            (match newton ~x0 ~alpha:1.0 ~gmin:g ~max_iterations with
-            | Some (x, evals, it) ->
-              if rest = [] then Some (x, evals, it) else gmin_steps x rest
+            | Some (x, it) -> if rest = [] then Some (x, it) else gmin_steps x rest
             | None -> None)
        in
        (match gmin_steps zeros [ 1e-3; 1e-5; 1e-7; gmin ] with
@@ -156,42 +63,19 @@ let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(gmin = 1e-9) ?(max_iterat
           Mixsyn_util.Telemetry.count "dc.no_convergence";
           raise (No_convergence "dc: newton, source and gmin stepping all failed")))
 
-let power nl op =
-  let layout = op.Mna.op_layout in
-  let total = ref 0.0 in
-  let v net = Mna.voltage op net in
-  let each = function
-    | Netlist.Vsource { v_name; dc; _ } ->
-      (* branch current flows into the + terminal; delivered power = -dc*i *)
-      let i = Mna.branch_current op ~layout v_name in
-      total := !total +. (-.dc *. i)
-    | Netlist.Isource { p; n; dc; _ } ->
-      (* source pushes dc into p: delivered power = dc * (v_p - v_n) *)
-      total := !total +. (dc *. (v p -. v n))
-    | Netlist.Mos _ | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Vccs _ -> ()
-  in
-  List.iter each (Netlist.elements nl);
-  !total
+let solve ?(tech = Mixsyn_circuit.Tech.generic_07um) ?(gmin = 1e-9) ?(max_iterations = 200) nl =
+  let layout = Mna.layout_of nl in
+  solve_compiled tech layout (Newton.dc nl layout) ~gmin ~max_iterations
 
+let power = Newton.power
 
 let sweep ?(tech = Mixsyn_circuit.Tech.generic_07um) nl ~source ~values =
+  let layout = Mna.layout_of nl in
   (* verify the source exists up front *)
-  let exists =
-    List.exists
-      (function
-        | Netlist.Vsource { v_name; _ } -> v_name = source
-        | Netlist.Mos _ | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Isource _
-        | Netlist.Vccs _ -> false)
-      (Netlist.elements nl)
-  in
-  if not exists then raise Not_found;
+  if not (Hashtbl.mem layout.Mna.branch_tbl source) then raise Not_found;
+  let p = Newton.dc nl layout in
   Array.map
     (fun v ->
-      let nl' =
-        Netlist.map_elements nl (function
-          | Netlist.Vsource { v_name; p; n; dc = _; ac; v_wave } when v_name = source ->
-            Netlist.Vsource { v_name; p; n; dc = v; ac; v_wave }
-          | e -> e)
-      in
-      (v, solve ~tech nl'))
+      Newton.set_vsource_dc p source v;
+      (v, solve_compiled tech layout p ~gmin:1e-9 ~max_iterations:200))
     values

@@ -15,6 +15,9 @@ val solve :
   Mna.op
 (** Operating point of the circuit.  Tries a direct Newton solve first, then
     source stepping (continuation in the source scale), then gmin stepping.
+    The netlist is compiled once ({!Newton}) and every iteration of every
+    strategy reuses one pooled workspace; [mos_evals] are the device
+    evaluations the final assembly used.
     @raise No_convergence when all strategies fail. *)
 
 val power : Mixsyn_circuit.Netlist.t -> Mna.op -> float
@@ -26,8 +29,9 @@ val sweep :
   source:string ->
   values:float array ->
   (float * Mna.op) array
-(** DC transfer sweep: re-solve the operating point for each value of the
-    named voltage source's DC level, warm-starting each point from the
-    previous solution (the standard .DC analysis).
+(** DC transfer sweep: the operating point at each value of the named
+    voltage source's DC level (every source of that name), each point
+    solved exactly as {!solve} would solve it, cold from 0 V.  The
+    netlist is compiled once for the whole sweep.
     @raise Not_found when no voltage source has that name.
     @raise No_convergence when a sweep point fails. *)

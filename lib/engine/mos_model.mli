@@ -29,10 +29,25 @@ type eval = {
   gmb : float;
 }
 
+val eval_into : Mixsyn_circuit.Tech.t -> Mixsyn_circuit.Netlist.mos -> float array ->
+  d:int -> g:int -> s:int -> b:int -> Float.Array.t -> at:int -> unit
+(** The model's one implementation, for the Newton loops: reads the
+    terminal voltages [x.(d)], [x.(g)], [x.(s)], [x.(b)] (a negative index
+    is ground, 0 V) and writes the {!eval} fields, in declaration order, to
+    [out.(at)] .. [out.(at + eval_slots - 1)], [region] as 0 (cutoff),
+    1 (triode) or 2 (saturation).  Allocates nothing. *)
+
+val eval_slots : int
+(** Floats one {!eval_into} writes: 13. *)
+
+val eval_of_slots : Float.Array.t -> at:int -> eval
+(** The record {!eval_into} wrote at [at]. *)
+
 val evaluate : Mixsyn_circuit.Tech.t -> Mixsyn_circuit.Netlist.mos ->
   vd:float -> vg:float -> vs:float -> vb:float -> eval
-(** Current and derivatives at the given terminal voltages.  Handles both
-    polarities and source/drain inversion. *)
+(** Current and derivatives at the given terminal voltages: {!eval_into}
+    on a fresh buffer, read back as a record.  Handles both polarities and
+    source/drain inversion. *)
 
 (** Small-signal capacitances at an operating point, in farads. *)
 type caps = { cgs : float; cgd : float; cgb : float; cdb : float; csb : float }

@@ -20,7 +20,8 @@ val solve :
   dt:float ->
   result
 (** Samples at [k *. dt] for [k = 0 .. ceil (t_stop /. dt)], starting from
-    the operating point [op].  Every Newton iteration stamps, factors and
+    the operating point [op].  The netlist and its capacitor companions are
+    compiled once ({!Newton}); every Newton iteration stamps, factors and
     solves in place on one pooled {!Mixsyn_util.Fmat} workspace.
     @raise Mixsyn_util.Fmat.Singular when a Newton system is singular. *)
 

@@ -20,7 +20,12 @@ exception Singular of int
 let rel_tol = 1e-14
 let abs_floor = 1e-300
 
-let pivot_threshold col_scale = Float.max abs_floor (rel_tol *. col_scale)
+(* [Float.max abs_floor t] bit for bit, NaN included ([abs_floor] is
+   positive, so the sign tie-break never applies), inlined so the factor
+   loops neither box the argument nor make stdlib's C [sign_bit] calls *)
+let[@inline] pivot_threshold col_scale =
+  let t = rel_tol *. col_scale in
+  if t > abs_floor || t <> t then t else abs_floor
 
 let make_buf n : buf =
   let b = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
@@ -63,15 +68,21 @@ module Real = struct
     A1.fill ws.a 0.0;
     FA.fill ws.b 0 ws.n 0.0
 
-  let stamp ws i j v =
-    if i >= 0 && j >= 0 then begin
-      let k = (i * ws.n) + j in
-      A1.set ws.a k (A1.get ws.a k +. v)
-    end
-
-  let rhs ws i v = if i >= 0 then FA.set ws.b i (FA.get ws.b i +. v)
-
   let set_rhs ws i v = FA.set ws.b i v
+
+  let load_stamps ws ~pos ~vals ~rpos ~rvals =
+    if FA.length vals < Array.length pos || FA.length rvals < Array.length rpos then
+      invalid_arg "Fmat.Real.load_stamps: fewer values than positions";
+    clear ws;
+    let a = ws.a and b = ws.b in
+    for k = 0 to Array.length pos - 1 do
+      let p = Array.unsafe_get pos k in
+      if p >= 0 then A1.set a p (A1.get a p +. FA.unsafe_get vals k)
+    done;
+    for k = 0 to Array.length rpos - 1 do
+      let i = Array.unsafe_get rpos k in
+      if i >= 0 then FA.set b i (FA.get b i +. FA.unsafe_get rvals k)
+    done
 
   let set ws i j v = A1.set ws.a ((i * ws.n) + j) v
   let get ws i j = A1.get ws.a ((i * ws.n) + j)
@@ -100,7 +111,11 @@ module Real = struct
     for k = 0 to n - 1 do
       let s = ref 0.0 in
       for i = 0 to n - 1 do
-        s := Float.max !s (Float.abs (A1.unsafe_get a ((i * n) + k)))
+        (* [Float.max !s m]: on magnitudes (sign bit clear) this comparison
+           returns the same bits, NaN included, without stdlib's two C
+           [sign_bit] calls per element *)
+        let m = Float.abs (A1.unsafe_get a ((i * n) + k)) in
+        if m > !s || m <> m then s := m
       done;
       FA.set ws.col_scale k !s;
       perm.(k) <- k

@@ -52,20 +52,22 @@ module Real : sig
 
   val size : ws -> int
 
-  val clear : ws -> unit
-  (** Zero the matrix and right-hand side (not needed after [create]). *)
-
-  val stamp : ws -> int -> int -> float -> unit
-  (** [stamp ws i j v] adds [v] to [A.(i).(j)].  Negative indices are
-      ignored — the MNA convention that ground has index [-1]. *)
-
-  val rhs : ws -> int -> float -> unit
-  (** [rhs ws i v] adds [v] to [b.(i)]; negative [i] is ignored. *)
-
   val set_rhs : ws -> int -> float -> unit
-  (** [set_rhs ws i v] overwrites [b.(i)].  Unlike {!clear}, it leaves a
-      factored matrix intact, so one factorization can be solved against
-      many right-hand sides. *)
+  (** [set_rhs ws i v] overwrites [b.(i)].  Unlike {!load_stamps}, it
+      leaves a factored matrix intact, so one factorization can be solved
+      against many right-hand sides. *)
+
+  val load_stamps :
+    ws -> pos:int array -> vals:Float.Array.t -> rpos:int array -> rvals:Float.Array.t -> unit
+  (** Zero the system, then add [vals.(k)] to the matrix entry at row-major
+      position [pos.(k)] ([i * size + j]) and [rvals.(k)] to [b.(rpos.(k))],
+      each list in index order; a negative position is skipped (the MNA
+      convention that ground has index [-1]).  So every entry receives its
+      stamps as additions from zero in list order, and an assembler that
+      keeps its element order gets the same bits however it computes the
+      values.  Allocates nothing.
+      @raise Invalid_argument when a value list is shorter than its
+      positions. *)
 
   val set : ws -> int -> int -> float -> unit
   (** [set ws i j v] overwrites [A.(i).(j)] (indices must be valid). *)

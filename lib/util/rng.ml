@@ -16,12 +16,6 @@ let next_int64 t =
 
 let split t = { state = next_int64 t }
 
-(* one splitmix64 step per stream: the mixed outputs of successive states
-   are the textbook way to seed independent splitmix64 streams *)
-let split_n t n =
-  if n < 0 then invalid_arg "Rng.split_n";
-  Array.init n (fun _ -> split t)
-
 let int t bound =
   assert (bound > 0);
   let v = Int64.to_int (next_int64 t) land max_int in

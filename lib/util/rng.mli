@@ -15,12 +15,6 @@ val copy : t -> t
 val split : t -> t
 (** [split rng] advances [rng] and returns a new independent generator. *)
 
-val split_n : t -> int -> t array
-(** [split_n rng n] advances [rng] [n] times and returns [n] independent
-    generators — one deterministic stream per independent chain, so a run
-    that hands its chains to the pool is reproducible at any job count.
-    @raise Invalid_argument when [n < 0]. *)
-
 val int : t -> int -> int
 (** [int rng bound] is uniform in [0, bound). Requires [bound > 0]. *)
 

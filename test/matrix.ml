@@ -108,7 +108,8 @@ module Make (S : SCALAR) = struct
           pivot := i
         end
       done;
-      if !best < Mixsyn_util.Fmat.pivot_threshold col_scale.(k) then raise (Singular k);
+      (* [Fmat.pivot_threshold], kept on stdlib [Float.max] *)
+      if !best < Float.max 1e-300 (1e-14 *. col_scale.(k)) then raise (Singular k);
       if !pivot <> k then begin
         let tmp = m.(k) in
         m.(k) <- m.(!pivot);

@@ -1,13 +1,125 @@
 (* Boxed reference implementations of the kernels the library now runs on
-   flat, allocation-free storage: the transient Newton loop and AWE's
-   moment recursion on the boxed {!Matrix} LU, and Durand–Kerner on
-   [Complex.t] values.  Each is the earlier library code kept as it was,
-   so the tests can hold the ported kernels to bit-for-bit equality. *)
+   flat, allocation-free storage: the record-building MOS model, the
+   transient Newton loop and AWE's moment recursion on the boxed {!Matrix}
+   LU, and Durand–Kerner on [Complex.t] values.  Each is the earlier
+   library code kept as it was, stdlib [Float.max] included, so the tests
+   can hold the ported kernels to bit-for-bit equality. *)
 
 module Netlist = Mixsyn_circuit.Netlist
+module Tech = Mixsyn_circuit.Tech
 module Mna = Mixsyn_engine.Mna
 module Mos_model = Mixsyn_engine.Mos_model
 module Real = Matrix.Real
+
+(* --- MOS model ------------------------------------------------------------ *)
+
+open Mos_model
+
+let subthreshold_slope = 1.5
+
+(* softplus-smoothed overdrive: veff -> vov for strong inversion, decays
+   exponentially below threshold; sigma is its derivative. *)
+let effective_overdrive tech vov =
+  let vt = Mixsyn_util.Units.boltzmann *. tech.Tech.temp /. Mixsyn_util.Units.electron_charge in
+  let nvt = subthreshold_slope *. vt in
+  let x = vov /. nvt in
+  if x > 40.0 then (vov, 1.0)
+  else if x < -40.0 then (nvt *. exp (-40.0), 0.0)
+  else begin
+    let veff = nvt *. log (1.0 +. exp x) in
+    let sigma = 1.0 /. (1.0 +. exp (-.x)) in
+    (veff, sigma)
+  end
+
+(* Core NMOS-oriented evaluation assuming vds >= 0.  Returns (ids, jacobian
+   w.r.t. (vd, vg, vs, vb)) together with reporting values. *)
+let eval_core tech ~vth0 ~kp m ~vd ~vg ~vs ~vb =
+  let vgs = vg -. vs and vds = vd -. vs in
+  let vsb = vs -. vb in
+  let phi = tech.Tech.phi in
+  let sq_arg = Float.max (phi +. vsb) 0.025 in
+  let vth = vth0 +. (tech.Tech.gamma *. (sqrt sq_arg -. sqrt phi)) in
+  let dvth_dvsb = tech.Tech.gamma /. (2.0 *. sqrt sq_arg) in
+  let vov = vgs -. vth in
+  let veff, sigma = effective_overdrive tech vov in
+  let beta = kp *. m.Netlist.w /. m.Netlist.l in
+  let lambda = tech.Tech.lambda_factor /. m.Netlist.l in
+  let clm = 1.0 +. (lambda *. vds) in
+  let saturated = vds >= veff in
+  let ids, gm_raw, gds_raw =
+    if saturated then begin
+      let i0 = 0.5 *. beta *. veff *. veff in
+      (i0 *. clm, beta *. veff *. clm *. sigma, i0 *. lambda)
+    end
+    else begin
+      let i0 = beta *. ((veff *. vds) -. (0.5 *. vds *. vds)) in
+      ( i0 *. clm,
+        beta *. vds *. clm *. sigma,
+        (beta *. (veff -. vds) *. clm) +. (i0 *. lambda) )
+    end
+  in
+  let region = if sigma < 0.5 then Cutoff else if saturated then Saturation else Triode in
+  (* dvov/dvb = +dvth_dvsb (raising vb reduces vsb, lowers vth, raises vov) *)
+  let gmb = gm_raw *. dvth_dvsb in
+  (* Jacobian in terms of terminal voltages:
+       ids = f(vgs, vds, vsb)
+       did/dvg = gm ; did/dvd = gds ; did/dvb = gmb ;
+       did/dvs = -(gm + gds + gmb). *)
+  { ids;
+    did_dvd = gds_raw;
+    did_dvg = gm_raw;
+    did_dvs = -.(gm_raw +. gds_raw +. gmb);
+    did_dvb = gmb;
+    region;
+    vgs;
+    vds;
+    vth;
+    vdsat = veff;
+    gm = gm_raw;
+    gds = gds_raw;
+    gmb }
+
+let mos_evaluate tech m ~vd ~vg ~vs ~vb =
+  match m.Netlist.polarity with
+  | Netlist.Nmos ->
+    if vd >= vs then eval_core tech ~vth0:tech.Tech.vth0_n ~kp:tech.Tech.kp_n m ~vd ~vg ~vs ~vb
+    else begin
+      (* source/drain swap: the device conducts the other way *)
+      let e = eval_core tech ~vth0:tech.Tech.vth0_n ~kp:tech.Tech.kp_n m ~vd:vs ~vg ~vs:vd ~vb in
+      { e with
+        ids = -.e.ids;
+        did_dvd = -.e.did_dvs;
+        did_dvg = -.e.did_dvg;
+        did_dvs = -.e.did_dvd;
+        did_dvb = -.e.did_dvb;
+        vds = vd -. vs;
+        vgs = vg -. vs }
+    end
+  | Netlist.Pmos ->
+    (* mirror all voltages and reuse the NMOS equations:
+       id_p(v) = -id_n(-v); d id_p/dvx = d id_n/dvx' at mirrored point *)
+    let e =
+      let vd' = -.vd and vg' = -.vg and vs' = -.vs and vb' = -.vb in
+      if vd' >= vs' then eval_core tech ~vth0:tech.Tech.vth0_p ~kp:tech.Tech.kp_p m ~vd:vd' ~vg:vg' ~vs:vs' ~vb:vb'
+      else begin
+        let i = eval_core tech ~vth0:tech.Tech.vth0_p ~kp:tech.Tech.kp_p m ~vd:vs' ~vg:vg' ~vs:vd' ~vb:vb' in
+        { i with
+          ids = -.i.ids;
+          did_dvd = -.i.did_dvs;
+          did_dvg = -.i.did_dvg;
+          did_dvs = -.i.did_dvd;
+          did_dvb = -.i.did_dvb;
+          vds = vd' -. vs';
+          vgs = vg' -. vs' }
+      end
+    in
+    { e with
+      ids = -.e.ids;
+      (* derivatives survive double sign flip *)
+      vgs = vg -. vs;
+      vds = vd -. vs;
+      vth = -.e.vth;
+      vdsat = -.e.vdsat }
 
 (* --- transient --------------------------------------------------------- *)
 
@@ -51,7 +163,7 @@ let tran_assemble tech nl (layout : Mna.layout) x ~time ~caps ~geq =
       rhs row value
     | Netlist.Mos m ->
       let e =
-        Mos_model.evaluate tech m ~vd:(v m.Netlist.drain) ~vg:(v m.Netlist.gate)
+        mos_evaluate tech m ~vd:(v m.Netlist.drain) ~vg:(v m.Netlist.gate)
           ~vs:(v m.Netlist.source) ~vb:(v m.Netlist.bulk)
       in
       let id = Mna.node_index m.Netlist.drain

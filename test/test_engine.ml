@@ -119,6 +119,74 @@ let test_mos_jacobian_consistency () =
   check_close ~eps:1e-3 "did/dvs" (fd (fun v -> at 1.8 1.4 v 0.0) 0.2) e.Mos.did_dvs;
   check_close ~eps:1e-3 "did/dvb" (fd (fun v -> at 1.8 1.4 0.2 v) 0.0) e.Mos.did_dvb
 
+(* the allocation-free core against the record-building model it replaced
+   (kept in the oracle, [Float.max] clamp included), bit for bit.  Any two
+   NaNs count as equal: where two NaNs of different payloads meet in a
+   commutative operation, the payload follows whichever operand the
+   compiler placed first, which two compiled functions may choose
+   differently for the same expression. *)
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b || (Float.is_nan a && Float.is_nan b)
+
+let check_mos_matches_reference (m : N.mos) ~vd ~vg ~vs ~vb =
+  let got = Mos.evaluate tech m ~vd ~vg ~vs ~vb
+  and want = Oracle.mos_evaluate tech m ~vd ~vg ~vs ~vb in
+  let same = same_bits in
+  List.for_all2 same
+    [ got.Mos.ids; got.Mos.did_dvd; got.Mos.did_dvg; got.Mos.did_dvs; got.Mos.did_dvb;
+      got.Mos.vgs; got.Mos.vds; got.Mos.vth; got.Mos.vdsat; got.Mos.gm; got.Mos.gds;
+      got.Mos.gmb ]
+    [ want.Mos.ids; want.Mos.did_dvd; want.Mos.did_dvg; want.Mos.did_dvs; want.Mos.did_dvb;
+      want.Mos.vgs; want.Mos.vds; want.Mos.vth; want.Mos.vdsat; want.Mos.gm; want.Mos.gds;
+      want.Mos.gmb ]
+  && got.Mos.region = want.Mos.region
+
+let test_mos_core_corners () =
+  (* each branch of the model once, on both polarities (phi = 0.7 V,
+     nvt = 39 mV): forward and swapped drain/source, vov/nvt above 40, below
+     -40 and between, the sq_arg clamp at 0.025 (source 1 V below the bulk
+     for NMOS), and non-finite terminal voltages *)
+  let cases =
+    [ (3.0, 2.5, 0.0, 0.0); (0.0, 2.5, 3.0, 0.0); (3.0, -2.0, 0.0, 0.0); (3.0, 0.78, 0.0, 0.0);
+      (0.1, 0.8, 0.0, 0.0); (2.0, 1.5, 0.0, 1.0); (0.0, 1.5, 2.0, 3.0); (2.0, 1.5, 0.0, -1.0);
+      (-3.0, -2.5, 0.0, 0.0); (0.0, -2.5, -3.0, 0.0); (-2.0, -1.5, 0.0, -1.0);
+      (0.0, 0.0, 0.0, 0.0); (-0.0, 0.0, 0.0, -0.0); (0.5, 1.0, 0.5, 0.0);
+      (Float.nan, 1.0, 0.0, 0.0); (1.0, Float.nan, 0.0, 0.0); (1.0, 1.0, 0.0, Float.nan);
+      (Float.infinity, 1.0, 0.0, 0.0); (1.0, Float.neg_infinity, 0.0, 0.0);
+      (1.0, 1.0, Float.infinity, 0.0) ]
+  in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun (vd, vg, vs, vb) ->
+          if not (check_mos_matches_reference m ~vd ~vg ~vs ~vb) then
+            Alcotest.failf "%s vd=%h vg=%h vs=%h vb=%h differs from the reference"
+              (match m.N.polarity with N.Nmos -> "nmos" | N.Pmos -> "pmos")
+              vd vg vs vb)
+        cases)
+    [ nmos 10e-6 1e-6; pmos 10e-6 1e-6; nmos 2e-6 0.7e-6; pmos 150e-6 3e-6 ]
+
+let prop_mos_core_matches_reference =
+  let volt =
+    QCheck.Gen.(
+      frequency
+        [ (12, float_range (-6.0) 6.0);
+          (1, oneofa [| 0.0; -0.0; 1e-300; Float.nan; Float.infinity; Float.neg_infinity |]) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (triple bool (float_range 0.7e-6 200e-6) (float_range 0.7e-6 5e-6))
+        (quad volt volt volt volt))
+  in
+  let print ((p, w, l), (vd, vg, vs, vb)) =
+    Printf.sprintf "%s w=%h l=%h vd=%h vg=%h vs=%h vb=%h" (if p then "pmos" else "nmos") w l vd vg
+      vs vb
+  in
+  QCheck.Test.make ~name:"allocation-free core equals the reference model" ~count:3000
+    (QCheck.make ~print gen)
+    (fun ((p, w, l), (vd, vg, vs, vb)) ->
+      check_mos_matches_reference (if p then pmos w l else nmos w l) ~vd ~vg ~vs ~vb)
+
 let test_mos_diode_bias () =
   let c = N.create () in
   let d = N.new_net c in
@@ -423,9 +491,10 @@ let test_tran_detector_matches_boxed () =
     (Fixtures.detector_sizings ~count:40)
 
 let test_tran_alloc_cap () =
-  (* one Newton iteration allocates its MOS evaluation and a few boxed
-     stamps, never a matrix, an LU copy or a list: the boxed path took
-     ~8,100 minor words per timestep on this netlist *)
+  (* a timestep allocates its sample copy and a few boxed source values,
+     never a MOS evaluation, a stamp, a matrix or a list: the boxed-Matrix
+     path took ~8,100 minor words per timestep on this netlist and the
+     element-walking assembler ~700 *)
   let nl = Mixsyn_circuit.Detector.build tech Mixsyn_circuit.Detector.expert_manual_sizing in
   let op = Dc.solve ~tech nl in
   let run () = Tran.solve ~tech nl op ~t_stop:12e-6 ~dt:6e-9 in
@@ -434,8 +503,60 @@ let test_tran_alloc_cap () =
   let w0 = Gc.minor_words () in
   let tr = run () in
   let per_step = (Gc.minor_words () -. w0) /. float_of_int (Array.length tr.Tran.times - 1) in
-  if per_step > 1500.0 then
-    Alcotest.failf "Tran.solve allocates %.0f minor words per timestep (cap 1500)" per_step
+  if per_step > 60.0 then
+    Alcotest.failf "Tran.solve allocates %.0f minor words per timestep (cap 60)" per_step
+
+(* --- bits pinned at the boxed assemblers ---------------------------------- *)
+
+(* MD5 digests captured from the element-walking DC and transient
+   assemblers this library had before the compiled stamp lists
+   ({!Mixsyn_engine.Newton}): every unknown, the iteration count and every
+   field of every MOS evaluation of each DC solve, and every transient
+   sample.  They must not move. *)
+let test_dc_digests () =
+  let digest nls = Fixtures.combine_digests (List.map Fixtures.dc_bits nls) in
+  Alcotest.(check string) "detector" "6b071a3a57f5673d758e44cb541eb06a"
+    (digest (List.map fst (Fixtures.detector_sizings ~count:40)));
+  List.iter
+    (fun (t, expected) ->
+      Alcotest.(check string) t.Mixsyn_circuit.Template.t_name expected
+        (digest (Fixtures.topology_sizings t ~count:20)))
+    Mixsyn_circuit.Topology.
+      [ (ota_5t, "b3d62e5b1bcfebb90ac4783d70601686");
+        (miller_ota, "072fa084c0d8296d690967e97fa5a193");
+        (folded_cascode, "d51f611d82a70f8e4338be0069e3c2c3");
+        (comparator, "48926be70acaa29947138ce610119240") ]
+
+let test_tran_digests () =
+  Alcotest.(check string) "detector samples" "bed6360b3e983b57178733376b52c3e6"
+    (Fixtures.combine_digests
+       (List.map Fixtures.tran_bits (Fixtures.detector_sizings ~count:40)))
+
+let test_dc_nan_never_converges () =
+  (* a NaN update must read as "not converged", as [Float.max] made it:
+     the inline maximum keeps the NaN, so Newton and both fallbacks fail
+     instead of returning a NaN operating point as converged *)
+  let c = N.create () in
+  let a = N.new_net c in
+  N.add c (N.Isource { i_name = "i1"; p = a; n = N.gnd; dc = Float.nan; ac = 0.0; i_wave = N.Dc_wave });
+  N.add c (N.Resistor { r_name = "r1"; a; b = N.gnd; ohms = 1000.0 });
+  match Dc.solve ~tech c with
+  | exception Dc.No_convergence _ -> ()
+  | op -> Alcotest.failf "converged to %g" (Mna.voltage op a)
+
+let test_dc_alloc_cap () =
+  (* the compiled netlist, the pooled workspace and the allocation-free MOS
+     core leave the compile step, the layout and the returned operating
+     point; the element-walking assembler took about 52,000 minor words
+     per solve here (37 Newton iterations) *)
+  let t = Mixsyn_circuit.Topology.folded_cascode in
+  let nl = t.Mixsyn_circuit.Template.build tech (Mixsyn_circuit.Template.midpoint t) in
+  ignore (Dc.solve ~tech nl);
+  let w0 = Gc.minor_words () in
+  ignore (Dc.solve ~tech nl);
+  let words = Gc.minor_words () -. w0 in
+  if words > 6_500.0 then
+    Alcotest.failf "Dc.solve allocates %.0f minor words on the folded cascode (cap 6500)" words
 
 (* --- dc sweep ------------------------------------------------------------ *)
 
@@ -475,14 +596,18 @@ let () =
           Alcotest.test_case "vccs" `Quick test_dc_vccs;
           Alcotest.test_case "power balance" `Quick test_dc_power_balance;
           Alcotest.test_case "branch current" `Quick test_dc_branch_current;
-          Alcotest.test_case "mos diode bias" `Quick test_mos_diode_bias ] );
+          Alcotest.test_case "mos diode bias" `Quick test_mos_diode_bias;
+          Alcotest.test_case "nan element never converges" `Quick test_dc_nan_never_converges;
+          Alcotest.test_case "folded cascode allocation cap" `Quick test_dc_alloc_cap ] );
       ( "mos-model",
         [ Alcotest.test_case "square law" `Quick test_mos_square_law;
           Alcotest.test_case "cutoff" `Quick test_mos_cutoff;
           Alcotest.test_case "triode" `Quick test_mos_triode;
           Alcotest.test_case "pmos mirror symmetry" `Quick test_mos_pmos_mirror_symmetry;
           Alcotest.test_case "source/drain swap" `Quick test_mos_source_drain_swap;
-          Alcotest.test_case "jacobian consistency" `Quick test_mos_jacobian_consistency ] );
+          Alcotest.test_case "jacobian consistency" `Quick test_mos_jacobian_consistency;
+          Alcotest.test_case "core matches reference at corners" `Quick test_mos_core_corners;
+          QCheck_alcotest.to_alcotest prop_mos_core_matches_reference ] );
       ( "ac",
         [ Alcotest.test_case "rc pole" `Quick test_ac_rc_pole;
           Alcotest.test_case "sweep grid" `Quick test_ac_sweep_grid;
@@ -497,6 +622,9 @@ let () =
           Alcotest.test_case "table 1 detector matches boxed" `Quick
             test_tran_detector_matches_boxed;
           Alcotest.test_case "detector allocation cap" `Quick test_tran_alloc_cap ] );
+      ( "bit-identity",
+        [ Alcotest.test_case "dc digests" `Quick test_dc_digests;
+          Alcotest.test_case "transient digests" `Quick test_tran_digests ] );
       ( "noise",
         [ Alcotest.test_case "4kTR floor" `Quick test_noise_resistor_4ktr;
           Alcotest.test_case "kT/C invariant" `Quick test_noise_ktc;

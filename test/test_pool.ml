@@ -250,29 +250,6 @@ let test_sequential_scope () =
   let after = Pool.parallel_init ~jobs:4 4 (fun i -> i + 1) in
   Alcotest.(check (array int)) "pool usable after scope raise" [| 1; 2; 3; 4 |] after
 
-(* --- RNG stream independence ------------------------------------------- *)
-
-let test_split_n_streams () =
-  let streams = Rng.split_n (Rng.create 42) 4 in
-  Alcotest.(check int) "stream count" 4 (Array.length streams);
-  let draws = Array.map (fun rng -> List.init 16 (fun _ -> Rng.int rng 1_000_000_000)) streams in
-  (* streams must be pairwise distinct... *)
-  Array.iteri
-    (fun i di ->
-      Array.iteri
-        (fun j dj -> if i < j && di = dj then Alcotest.failf "streams %d and %d collide" i j)
-        draws)
-    draws;
-  (* ...and reproducible from the same parent seed *)
-  let again = Rng.split_n (Rng.create 42) 4 in
-  Array.iteri
-    (fun i rng ->
-      let d = List.init 16 (fun _ -> Rng.int rng 1_000_000_000) in
-      if d <> draws.(i) then Alcotest.failf "stream %d not reproducible" i)
-    again;
-  Alcotest.(check (array int)) "split_n 0" [||]
-    (Array.map (fun _ -> 0) (Rng.split_n (Rng.create 1) 0))
-
 (* --- seq-vs-parallel equality on the wired loops ------------------------ *)
 
 let test_corner_search_jobs_invariant () =
@@ -380,8 +357,6 @@ let () =
           Alcotest.test_case "banded map" `Quick test_banded_matches_sequential;
           Alcotest.test_case "small sweep falls back" `Quick test_small_sweep_fallback;
           Alcotest.test_case "sequential scope" `Quick test_sequential_scope ] );
-      ( "rng",
-        [ Alcotest.test_case "split_n streams" `Quick test_split_n_streams ] );
       ( "wired-loops",
         [ Alcotest.test_case "corner search" `Quick test_corner_search_jobs_invariant;
           Alcotest.test_case "genetic fitness" `Quick test_genetic_jobs_invariant;

@@ -125,6 +125,15 @@ module Fmat = Mixsyn_util.Fmat
 (* [Fmat] promises the exact scalar operation sequence of [Matrix.Make], so
    these comparisons are bit-for-bit ([=] on floats), not within an eps. *)
 
+(* a dense system through the stamp-list loader, one stamp per entry *)
+let load_dense ws a b =
+  let n = Array.length b in
+  Fmat.Real.load_stamps ws
+    ~pos:(Array.init (n * n) Fun.id)
+    ~vals:(Float.Array.init (n * n) (fun k -> a.(k / n).(k mod n)))
+    ~rpos:(Array.init n Fun.id)
+    ~rvals:(Float.Array.map_from_array Fun.id b)
+
 let test_fmat_real_bitexact () =
   let rng = Rng.create 29 in
   for _ = 1 to 60 do
@@ -135,13 +144,7 @@ let test_fmat_real_bitexact () =
     let flat = Array.make n 0.0 in
     (* draw from the domain pool so reuse of a dirty workspace is exercised *)
     Fmat.with_real n (fun ws ->
-        Fmat.Real.clear ws;
-        for i = 0 to n - 1 do
-          Fmat.Real.rhs ws i b.(i);
-          for j = 0 to n - 1 do
-            Fmat.Real.stamp ws i j a.(i).(j)
-          done
-        done;
+        load_dense ws a b;
         Fmat.Real.factor ws;
         Fmat.Real.solve ws flat);
     Array.iteri
@@ -212,9 +215,7 @@ let test_fmat_scaled_pivot () =
   let boxed = Real.solve tiny b in
   let flat = Array.make 2 0.0 in
   Fmat.with_real 2 (fun ws ->
-      Fmat.Real.clear ws;
-      Array.iteri (fun i row -> Array.iteri (fun j v -> Fmat.Real.stamp ws i j v) row) tiny;
-      Array.iteri (fun i v -> Fmat.Real.rhs ws i v) b;
+      load_dense ws tiny b;
       Fmat.Real.factor ws;
       Fmat.Real.solve ws flat);
   Array.iteri (fun i v -> check_close ~eps:1e-12 "tiny system agrees" v flat.(i)) boxed;
@@ -227,32 +228,96 @@ let test_fmat_scaled_pivot () =
    | _ -> Alcotest.fail "boxed kernel missed scale-relative singularity");
   (match
      Fmat.with_real 2 (fun ws ->
-         Fmat.Real.clear ws;
-         Array.iteri (fun i row -> Array.iteri (fun j v -> Fmat.Real.stamp ws i j v) row) near;
+         load_dense ws near [| 0.0; 0.0 |];
          Fmat.Real.factor ws)
    with
    | exception Fmat.Singular _ -> ()
    | _ -> Alcotest.fail "flat kernel missed scale-relative singularity")
+
+(* The flat kernel's column scale and pivot floor compare inline where the
+   oracle calls [Float.max]; non-finite entries are where the two could
+   part.  Each system must give the same bits (any two NaNs count as equal:
+   their payload follows the operand order a compiler picks for a
+   commutative operation), or raise [Singular] at the same column, through
+   both the dense and the stamp-list loaders. *)
+let test_fmat_real_special_values () =
+  let nan = Float.nan and inf = Float.infinity in
+  let cases =
+    [ ("nan entry", [| [| 2.0; 1.0; 0.0 |]; [| 1.0; nan; 1.0 |]; [| 0.0; 1.0; 3.0 |] |], None);
+      ("nan pivot column", [| [| nan; 1.0 |]; [| 1.0; 2.0 |] |], None);
+      (* a NaN column scale accepts any pivot; skipping the NaN would
+         reject the 1e-20 one against the 1.0 above it *)
+      ( "nan beside a tiny pivot",
+        [| [| 1.0; 1.0; 0.0 |]; [| 0.0; 1e-20; 1.0 |]; [| 0.0; nan; 1.0 |] |],
+        None );
+      ("+inf entry", [| [| 2.0; 1.0; 0.0 |]; [| 1.0; 4.0; inf |]; [| 0.0; 1.0; 3.0 |] |], None);
+      (* an infinite column scale leaves no finite pivot acceptable *)
+      ("+inf above a finite pivot", [| [| 1.0; inf |]; [| 0.0; 1.0 |] |], Some 1);
+      ("-inf pivot", [| [| Float.neg_infinity; 1.0 |]; [| 1.0; 2.0 |] |], None);
+      ("rank 2", [| [| 1.0; 2.0; 3.0 |]; [| 2.0; 4.0; 6.0 |]; [| 1.0; 0.0; 1.0 |] |], Some 2);
+      ("zero column", [| [| 1.0; 0.0 |]; [| 2.0; 0.0 |] |], Some 1) ]
+  in
+  let outcome f = match f () with x -> Ok x | exception Fmat.Singular k -> Error k in
+  List.iter
+    (fun (name, a, singular_at) ->
+      let n = Array.length a in
+      let b = Array.init n (fun i -> float_of_int (i + 1)) in
+      let boxed =
+        match Real.solve a b with x -> Ok x | exception Real.Singular k -> Error k
+      in
+      (match (singular_at, boxed) with
+       | Some k, Error k' when k = k' -> ()
+       | None, Ok _ -> ()
+       | _ -> Alcotest.failf "%s: the oracle did not classify it as expected" name);
+      let solve_with load () =
+        Fmat.with_real n (fun ws ->
+            load ws;
+            Fmat.Real.factor ws;
+            let x = Array.make n 0.0 in
+            Fmat.Real.solve ws x;
+            x)
+      in
+      let dense ws =
+        Fmat.Real.load ws a;
+        Array.iteri (Fmat.Real.set_rhs ws) b
+      in
+      List.iter
+        (fun (loader, flat) ->
+          match (boxed, flat) with
+          | Error k, Error k' when k = k' -> ()
+          | Ok x, Ok y
+            when Array.for_all2
+                   (fun u v ->
+                     Int64.bits_of_float u = Int64.bits_of_float v
+                     || (Float.is_nan u && Float.is_nan v))
+                   x y -> ()
+          | _ -> Alcotest.failf "%s: %s kernel differs from the oracle" name loader)
+        [ ("dense", outcome (solve_with dense));
+          ("stamp-list", outcome (solve_with (fun ws -> load_dense ws a b))) ])
+    cases;
+  (* the inline floor is [Float.max 1e-300 (1e-14 *. s)] bit for bit *)
+  List.iter
+    (fun s ->
+      let want = Float.max 1e-300 (1e-14 *. s) and got = Fmat.pivot_threshold s in
+      if Int64.bits_of_float want <> Int64.bits_of_float got then
+        Alcotest.failf "pivot_threshold %h: %h, Float.max gives %h" s got want)
+    [ 0.0; -0.0; 1e-290; 1e-286; 1.0; 5e-324; inf; Float.neg_infinity; nan; -.nan; -1.0 ]
 
 let test_fmat_workspace_reuse () =
   (* the pooled workspace is reused across calls of the same size within a
      domain and isolated between nested checkouts *)
   let n = 4 in
   let id = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1.0 else 0.0)) in
-  let load ws m =
-    Fmat.Real.clear ws;
-    Array.iteri (fun i row -> Array.iteri (fun j v -> Fmat.Real.stamp ws i j v) row) m
-  in
   let x = Array.make n 0.0 in
   Fmat.with_real n (fun ws ->
-      load ws id;
-      Array.iteri (fun i _ -> Fmat.Real.rhs ws i (float_of_int (i + 1))) x;
+      Fmat.Real.load ws id;
+      Array.iteri (fun i _ -> Fmat.Real.set_rhs ws i (float_of_int (i + 1))) x;
       Fmat.Real.factor ws;
       Fmat.Real.solve ws x;
       (* nested same-size checkout must not hand back the busy workspace *)
       Fmat.with_real n (fun ws2 ->
           if ws2 == ws then Alcotest.fail "nested checkout returned the busy workspace";
-          load ws2 id));
+          Fmat.Real.load ws2 id));
   Alcotest.(check (array (float 0.0))) "identity solve" [| 1.0; 2.0; 3.0; 4.0 |] x;
   (* after release the same buffer comes back (same domain, same size) *)
   let first = Fmat.with_real n (fun ws -> ws) in
@@ -905,6 +970,7 @@ let () =
         [ Alcotest.test_case "real bit-exact vs boxed" `Quick test_fmat_real_bitexact;
           Alcotest.test_case "complex bit-exact vs boxed" `Quick test_fmat_cplx_bitexact;
           Alcotest.test_case "scaled pivot threshold" `Quick test_fmat_scaled_pivot;
+          Alcotest.test_case "non-finite entries match boxed" `Quick test_fmat_real_special_values;
           Alcotest.test_case "workspace pool reuse" `Quick test_fmat_workspace_reuse ] );
       ( "poly",
         [ Alcotest.test_case "eval" `Quick test_poly_eval;
