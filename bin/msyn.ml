@@ -732,14 +732,17 @@ let batch_cmd =
           and seed — the common stratified-manifest shape) share one sizing run through \
           the cross-job stage cache; concurrent workers reaching the same key compute \
           it once (single-flight).  $(b,--no-stage-cache) bypasses the cache for A/B \
-          timing.  The summary reports the run's hit/miss counts and per-domain busy \
+          timing.  The summary reports the run's hit/miss counts and each worker's busy \
           seconds.";
       `S "SCHEDULING";
-      `P "Whole jobs are the unit of work stealing: each domain claims one job at a \
-          time from the shared queue, keeping its warm per-domain solver workspaces \
-          across consecutive jobs.  $(b,--jobs) (or $(b,MIXSYN_JOBS)) sets the worker \
-          count, the one scheduling setting; the pool never runs more domains than \
-          the machine has cores, and the summary reports the count that ran.";
+      `P "Jobs run through the same job engine as $(b,msyn serve): the manifest is \
+          submitted in order, admission closes, and then one work loop per worker \
+          domain drains the queue on the shared pool, the calling domain included.  \
+          Whole jobs are the unit of work stealing: each loop claims one job at a \
+          time, keeping its warm per-domain solver workspaces across consecutive \
+          jobs.  $(b,--jobs) (or $(b,MIXSYN_JOBS)) sets the worker count, the one \
+          scheduling setting; the pool never runs more domains than the machine has \
+          cores, and the summary reports the count that ran.";
       `S "MANIFEST FORMAT";
       `P "One JSON object per line, for example:";
       `Pre "  {\"id\": \"ota-70db\", \"seed\": 13,\n\
@@ -783,8 +786,8 @@ let serve_cmd =
     Arg.(value & opt (some jobs_conv) None
          & info [ "workers" ] ~docv:"N"
              ~doc:"Worker domains executing jobs (default $(b,MIXSYN_JOBS) or the \
-                   machine's core count), each running its job exactly like a \
-                   $(b,msyn batch) worker.")
+                   machine's core count), spawned once per session, each running \
+                   jobs exactly like a $(b,msyn batch) worker.")
   in
   let queue_arg =
     Arg.(value & opt int 64
@@ -881,10 +884,12 @@ let serve_cmd =
       `P "Run the batch layer as a persistent HTTP/1.1 JSON service: one warm process \
           — domain pool spawned, sizing stage cache populated — accepting synthesis \
           jobs over HTTP instead of paying process cold-start per manifest.  Jobs use \
-          the $(b,msyn batch) manifest line format and execute through exactly the \
-          batch code path, so the journal the service writes is byte-identical to the \
-          journal $(b,msyn batch) writes for the same jobs in the same order.";
-      `P "Admitted jobs land in a bounded work queue feeding $(b,--workers) domains.  \
+          the $(b,msyn batch) manifest line format and go through the same job engine \
+          as $(b,msyn batch) — admission, prefilter, queue, journal, cancellation — so \
+          the journal the service writes is byte-identical to the journal $(b,msyn \
+          batch) writes for the same jobs in the same order.";
+      `P "Admitted jobs land in a bounded work queue feeding $(b,--workers) domains, \
+          spawned once per session.  \
           When the queue is full, submissions are rejected with $(b,429) and a \
           $(b,Retry-After) header; $(b,--rate-limit) adds a per-client token bucket \
           on top.  Every admitted job is appended to the journal-as-checkpoint, so \
@@ -907,8 +912,8 @@ let serve_cmd =
           at its next guard point; $(b,409) once finished."; `Noblank;
       `P "$(b,POST /drain) — graceful shutdown, identical to $(b,SIGTERM)."; `Noblank;
       `P "$(b,GET /healthz) — liveness; $(b,GET /metrics) — queue depth, job and \
-          rejection counts, stage-cache hit rate, per-worker busy seconds and the \
-          full telemetry rollup, as canonical JSON.";
+          rejection counts, stage-cache hit rate, this session's per-worker busy \
+          seconds and the full telemetry rollup, as canonical JSON.";
       `S "DRAIN SEMANTICS";
       `P "$(b,SIGTERM), $(b,SIGINT) and $(b,POST /drain) all trigger the same \
           graceful drain: new submissions are refused with $(b,503) while status, \

@@ -67,25 +67,11 @@ let render ds =
          (count Warning ds) (count Info ds));
     Buffer.contents buf
 
-(* minimal JSON string escaping: quotes, backslashes, control characters *)
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ds =
-  let ds = List.sort compare ds in
+  let module J = Mixsyn_util.Json in
   let one d =
-    Printf.sprintf "{\"severity\": \"%s\", \"rule\": \"%s\", \"loc\": \"%s\", \"msg\": \"%s\"}"
-      (severity_name d.severity) (escape d.rule) (escape d.loc) (escape d.msg)
+    J.Obj
+      [ ("severity", J.Str (severity_name d.severity)); ("rule", J.Str d.rule);
+        ("loc", J.Str d.loc); ("msg", J.Str d.msg) ]
   in
-  "[" ^ String.concat ", " (List.map one ds) ^ "]"
+  J.to_string (J.Arr (List.map one (List.sort compare ds)))

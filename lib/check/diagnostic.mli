@@ -52,5 +52,5 @@ val render : t list -> string
 
 val to_json : t list -> string
 (** Machine-readable form: a JSON array of
-    [{"severity": s, "rule": r, "loc": l, "msg": m}] objects, sorted as
-    {!render}. *)
+    [{"severity":s,"rule":r,"loc":l,"msg":m}] objects, sorted as
+    {!render}, in {!Mixsyn_util.Json}'s canonical compact form. *)

@@ -387,15 +387,14 @@ let describe_exn = function
    retry seeds never collide with neighbouring jobs' base seeds *)
 let retry_stride = 1_000_003
 
-let run_job ?timeout_s ?(retries = 0) ?(executor = flow_executor ~stage_cache:true)
-    ?on_attempt job =
-  if retries < 0 then
-    invalid_arg (Printf.sprintf "Batch.run_job: retries %d negative" retries);
+(* [on_attempt] sees each attempt's token before the attempt starts: the
+   engine's hook for cancelling a job that is already running *)
+let attempt_job ~timeout_s ~retries ~executor ~on_attempt job =
   let timeout_s = match job.timeout_s with Some t -> Some t | None -> timeout_s in
   let rec attempt k =
     let seed = job.seed + (retry_stride * k) in
     let token = Cancel.create ?timeout_s () in
-    Option.iter (fun f -> f token) on_attempt;
+    on_attempt token;
     match
       Cancel.with_token token @@ fun () ->
       Mixsyn_util.Telemetry.with_span "batch.job" @@ fun () ->
@@ -428,6 +427,11 @@ let run_job ?timeout_s ?(retries = 0) ?(executor = flow_executor ~stage_cache:tr
       end
   in
   attempt 0
+
+let run_job ?timeout_s ?(retries = 0) ?(executor = flow_executor ~stage_cache:true) job =
+  if retries < 0 then
+    invalid_arg (Printf.sprintf "Batch.run_job: retries %d negative" retries);
+  attempt_job ~timeout_s ~retries ~executor ~on_attempt:ignore job
 
 (* ---- static prefilter ------------------------------------------------- *)
 
@@ -506,19 +510,16 @@ type journal_writer = {
 }
 
 let writer_push w i line =
-  Mutex.lock w.w_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.w_lock)
-    (fun () ->
-      Hashtbl.replace w.buffered i line;
-      while Hashtbl.mem w.buffered w.next do
-        let line = Hashtbl.find w.buffered w.next in
-        Hashtbl.remove w.buffered w.next;
-        output_string w.oc line;
-        output_char w.oc '\n';
-        flush w.oc;
-        w.next <- w.next + 1
-      done)
+  Mutex.protect w.w_lock @@ fun () ->
+  Hashtbl.replace w.buffered i line;
+  while Hashtbl.mem w.buffered w.next do
+    let line = Hashtbl.find w.buffered w.next in
+    Hashtbl.remove w.buffered w.next;
+    output_string w.oc line;
+    output_char w.oc '\n';
+    flush w.oc;
+    w.next <- w.next + 1
+  done
 
 let journal_push w i r = writer_push w i (Json.to_string (record_to_json r))
 
@@ -534,40 +535,203 @@ let journal_open path =
   let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path in
   (recorded, { oc; w_lock = Mutex.create (); next = 0; buffered = Hashtbl.create 16 })
 
-let journal_close w =
-  Mutex.lock w.w_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.w_lock)
-    (fun () -> close_out w.oc)
+let journal_close w = Mutex.protect w.w_lock (fun () -> close_out w.oc)
 
-(* ---- the batch loop --------------------------------------------------- *)
+(* ---- the job engine --------------------------------------------------- *)
 
-(* snapshot of the pool's per-domain utilization counters
-   ([pool.domain.<i>.busy_us]), as (slot, microseconds) pairs; the summary
-   reports the delta over the run, in seconds *)
-let domain_busy_us () =
-  List.filter_map
-    (fun (name, v) ->
-      match String.split_on_char '.' name with
-      | [ "pool"; "domain"; slot; "busy_us" ] ->
-        Option.map (fun i -> (i, v)) (int_of_string_opt slot)
-      | _ -> None)
-    (Mixsyn_util.Telemetry.counters_alist ())
+(* One job lifecycle behind [msyn batch] and [msyn serve].  Admission gives
+   each new job the next journal index, in submission order, and every
+   index is then pushed exactly once — prefiltered on admission, cancelled
+   while queued, or executed by a work loop — so the in-order writer never
+   stalls on a hole.  One lock guards the table, the queue and the
+   counters; the writer keeps its own. *)
+module Engine = struct
+  type state = Queued | Running | Done of record
 
-let domain_busy_delta before after =
-  List.sort compare
-    (List.filter_map
-       (fun (slot, v1) ->
-         let v0 = Option.value (List.assoc_opt slot before) ~default:0 in
-         if v1 > v0 then Some (slot, float_of_int (v1 - v0) *. 1e-6) else None)
-       after)
+  type entry = {
+    e_id : string;
+    e_index : int;  (* journal line index this session; -1 for resumed records *)
+    e_seed : int;
+    mutable e_state : state;
+    mutable e_token : Cancel.token option;  (* the running attempt's *)
+    mutable e_cancel : bool;
+  }
+
+  type t = {
+    lock : Mutex.t;
+    wake : Condition.t;  (* a job was queued, or admission closed *)
+    writer : journal_writer;
+    attempt : on_attempt:(Cancel.token -> unit) -> job -> record;
+    screen : job -> record option;
+    capacity : int;
+    queue : (entry * job) Queue.t;
+    table : (string, entry) Hashtbl.t;
+    mutable order : entry list;  (* submission order, reversed *)
+    mutable closed : bool;
+    mutable next : int;  (* the next journal index *)
+    mutable active : int;  (* jobs inside a work loop *)
+    busy : (int, float) Hashtbl.t;  (* worker slot -> seconds spent on jobs *)
+  }
+
+  type admission = Admitted of state | Known of state | Full | Closed
+
+  type stats = {
+    queued : int;
+    running : int;
+    accepted : int;
+    resumed : int;
+    finished : int;
+    cancelled : int;
+    jobs : (string * state) list;
+    busy_s : (int * float) list;
+  }
+
+  let locked t f = Mutex.protect t.lock f
+
+  let entry ~index ~seed ~state id =
+    { e_id = id; e_index = index; e_seed = seed; e_state = state; e_token = None;
+      e_cancel = false }
+
+  let add t e =
+    Hashtbl.replace t.table e.e_id e;
+    t.order <- e :: t.order
+
+  let create ~journal ~executor ~timeout_s ~retries ~prefilter ~capacity =
+    if retries < 0 then invalid_arg (Printf.sprintf "Batch: retries %d negative" retries);
+    let recorded, writer = journal_open journal in
+    let t =
+      { lock = Mutex.create ();
+        wake = Condition.create ();
+        writer;
+        attempt = attempt_job ~timeout_s ~retries ~executor;
+        screen = (if prefilter then prefilter_job else fun _ -> None);
+        capacity;
+        queue = Queue.create ();
+        table = Hashtbl.create 64;
+        order = [];
+        closed = false;
+        next = 0;
+        active = 0;
+        busy = Hashtbl.create 8 }
+    in
+    (* adopt the journal's valid prefix: those jobs are already done *)
+    List.iter
+      (fun r -> add t (entry ~index:(-1) ~seed:r.rec_seed ~state:(Done r) r.rec_id))
+      recorded;
+    (recorded, t)
+
+  (* journal [r] at [e]'s index and mark [e] done; under the lock *)
+  let finish t e r =
+    journal_push t.writer e.e_index r;
+    e.e_state <- Done r;
+    if r.status = Cancelled then Mixsyn_util.Telemetry.count "batch.cancelled"
+
+  let submit t job =
+    locked t @@ fun () ->
+    match Hashtbl.find_opt t.table job.job_id with
+    | Some e -> Known e.e_state
+    | None when t.closed -> Closed
+    | None when Queue.length t.queue >= t.capacity -> Full
+    | None ->
+      let e = entry ~index:t.next ~seed:job.seed ~state:Queued job.job_id in
+      t.next <- t.next + 1;
+      add t e;
+      (match t.screen job with
+       | Some r ->
+         Mixsyn_util.Telemetry.count "batch.prefiltered";
+         finish t e r
+       | None ->
+         Queue.push (e, job) t.queue;
+         Condition.signal t.wake);
+      Admitted e.e_state
+
+  let cancel t id =
+    locked t @@ fun () ->
+    Option.map
+      (fun e ->
+        let was = e.e_state in
+        (match was with
+         | Done _ -> ()
+         | Queued ->
+           (* the work loop that pops it skips it *)
+           finish t e { rec_id = id; rec_seed = e.e_seed; attempts = 0; status = Cancelled }
+         | Running ->
+           e.e_cancel <- true;
+           Option.iter Cancel.cancel e.e_token);
+        was)
+      (Hashtbl.find_opt t.table id)
+
+  let find t id = locked t (fun () -> Option.map (fun e -> e.e_state) (Hashtbl.find_opt t.table id))
+
+  let close t =
+    locked t (fun () ->
+        t.closed <- true;
+        Condition.broadcast t.wake)
+
+  let drained t = locked t (fun () -> t.closed && Queue.is_empty t.queue && t.active = 0)
+
+  let close_journal t = journal_close t.writer
+
+  (* under the lock: the next queued job, or [None] once admission is
+     closed and the queue is empty *)
+  let rec next t =
+    if Queue.is_empty t.queue && not t.closed then begin
+      Condition.wait t.wake t.lock;
+      next t
+    end
+    else
+      match Queue.take_opt t.queue with
+      | None -> None
+      | Some ({ e_state = Done _; _ }, _) -> next t (* cancelled while queued *)
+      | Some (e, job) ->
+        e.e_state <- Running;
+        t.active <- t.active + 1;
+        Some (e, job)
+
+  let rec work t slot =
+    match locked t (fun () -> next t) with
+    | None -> ()
+    | Some (e, job) ->
+      let t0 = Unix.gettimeofday () in
+      (* the flows inside run sequentially: the work loops own the cores *)
+      let r =
+        Mixsyn_util.Pool.sequential_scope (fun () ->
+            t.attempt job ~on_attempt:(fun token ->
+                locked t (fun () ->
+                    e.e_token <- Some token;
+                    if e.e_cancel then Cancel.cancel token)))
+      in
+      locked t (fun () ->
+          (* a cancel fires the running attempt's token, which surfaces as
+             [Timed_out]; the requested taxonomy wins in the journal *)
+          finish t e
+            (if e.e_cancel && r.status = Timed_out then { r with status = Cancelled } else r);
+          e.e_token <- None;
+          t.active <- t.active - 1;
+          let b = Option.value (Hashtbl.find_opt t.busy slot) ~default:0.0 in
+          Hashtbl.replace t.busy slot (b +. (Unix.gettimeofday () -. t0)));
+      work t slot
+
+  let stats t =
+    locked t @@ fun () ->
+    let entries = List.rev t.order in
+    let count p = List.length (List.filter p entries) in
+    let fresh_done p e = e.e_index >= 0 && match e.e_state with Done r -> p r | _ -> false in
+    { queued = Queue.length t.queue;
+      running = t.active;
+      accepted = t.next;
+      resumed = count (fun e -> e.e_index < 0);
+      finished = count (fresh_done (fun _ -> true));
+      cancelled = count (fresh_done (fun r -> r.status = Cancelled));
+      jobs = List.map (fun e -> (e.e_id, e.e_state)) entries;
+      busy_s = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.busy []) }
+end
+
+(* ---- the batch front end ---------------------------------------------- *)
 
 let run ?jobs ?timeout_s ?(retries = 0) ?(prefilter = true) ?(stage_cache = true)
     ?executor ~journal manifest =
-  if retries < 0 then invalid_arg (Printf.sprintf "Batch.run: retries %d negative" retries);
-  let executor =
-    match executor with Some e -> e | None -> flow_executor ~stage_cache
-  in
+  let executor = match executor with Some e -> e | None -> flow_executor ~stage_cache in
   let seen = Hashtbl.create 16 in
   List.iter
     (fun j ->
@@ -577,68 +741,36 @@ let run ?jobs ?timeout_s ?(retries = 0) ?(prefilter = true) ?(stage_cache = true
     manifest;
   let t0 = Unix.gettimeofday () in
   (* resume: adopt the journal's valid prefix, cut interruption damage *)
-  let recorded, w = journal_open journal in
-  let done_tbl = Hashtbl.create 16 in
-  (try
-     List.iter
-       (fun r ->
-         if not (Hashtbl.mem seen r.rec_id) then
-           invalid_arg
-             (Printf.sprintf "Batch.run: journal %s records job %S, not in the manifest"
-                journal r.rec_id);
-         Hashtbl.replace done_tbl r.rec_id r)
-       recorded
-   with exn ->
-     journal_close w;
-     raise exn);
-  let pending = Array.of_list (List.filter (fun j -> not (Hashtbl.mem done_tbl j.job_id)) manifest) in
-  (* decide prefiltering up front, sequentially: interval certification is
-     microseconds per job, and a fixed decision array keeps the journal a
-     pure function of the manifest whatever the worker count *)
-  let decisions =
-    Array.map
-      (fun job ->
-        if not prefilter then None
-        else
-          match prefilter_job job with
-          | Some r ->
-            Mixsyn_util.Telemetry.count "batch.prefiltered";
-            Some r
-          | None -> None)
-      pending
+  let recorded, engine =
+    Engine.create ~journal ~executor ~timeout_s ~retries ~prefilter ~capacity:max_int
   in
-  let run_jobs = Mixsyn_util.Pool.effective_jobs jobs (Array.length pending) in
+  Fun.protect ~finally:(fun () -> Engine.close_journal engine) @@ fun () ->
+  List.iter
+    (fun r ->
+      if not (Hashtbl.mem seen r.rec_id) then
+        invalid_arg
+          (Printf.sprintf "Batch.run: journal %s records job %S, not in the manifest" journal
+             r.rec_id))
+    recorded;
   let cache_h0, cache_m0 = Flow.stage_cache_stats () in
-  let busy0 = domain_busy_us () in
-  let fresh =
-    Fun.protect
-      ~finally:(fun () -> journal_close w)
-      (fun () ->
-        if Array.length pending = 0 then [||]
-        else
-          (* whole jobs are the unit of stealing: the pool claims them one
-             at a time, which keeps every domain busy until the manifest
-             drains even though jobs differ in cost by orders of magnitude
-             — while a worker's warm workspaces (Fmat pools, placer
-             scratch) carry over across the consecutive jobs it claims *)
-          Mixsyn_util.Pool.parallel_mapi ~jobs:run_jobs
-            (fun i job ->
-              let r =
-                match decisions.(i) with
-                | Some r -> r
-                | None ->
-                  Mixsyn_util.Pool.sequential_scope (fun () ->
-                      run_job ?timeout_s ~retries ~executor job)
-              in
-              (* serialize on the worker, off the writer lock *)
-              journal_push w i r;
-              r)
-            pending)
-  in
+  let admitted j = match Engine.submit engine j with Engine.Admitted _ -> true | _ -> false in
+  let fresh = List.length (List.filter admitted manifest) in
+  (* admission closes before the work loops start, so no pool participant
+     ever waits for a submission.  Whole jobs are the unit of stealing:
+     each loop claims one job at a time, which keeps every domain busy
+     until the queue drains even though jobs differ in cost by orders of
+     magnitude — while a worker's warm workspaces (Fmat pools, placer
+     scratch) carry over across the consecutive jobs it claims *)
+  Engine.close engine;
+  let run_jobs = Mixsyn_util.Pool.effective_jobs jobs fresh in
+  ignore (Mixsyn_util.Pool.parallel_init ~jobs:run_jobs run_jobs (Engine.work engine));
   let cache_h1, cache_m1 = Flow.stage_cache_stats () in
-  let busy1 = domain_busy_us () in
-  Array.iter (fun r -> Hashtbl.replace done_tbl r.rec_id r) fresh;
-  let records = List.map (fun j -> Hashtbl.find done_tbl j.job_id) manifest in
+  (* after the drain every manifest job is done, resumed or fresh *)
+  let records =
+    List.map
+      (fun j -> match Engine.find engine j.job_id with Some (Engine.Done r) -> r | _ -> assert false)
+      manifest
+  in
   let count p = List.length (List.filter p records) in
   { total = List.length manifest;
     completed = count (fun r -> match r.status with Completed _ -> true | _ -> false);
@@ -651,7 +783,7 @@ let run ?jobs ?timeout_s ?(retries = 0) ?(prefilter = true) ?(stage_cache = true
     elapsed_s = Unix.gettimeofday () -. t0;
     cache_hits = cache_h1 - cache_h0;
     cache_misses = cache_m1 - cache_m0;
-    domain_busy_s = domain_busy_delta busy0 busy1;
+    domain_busy_s = (Engine.stats engine).Engine.busy_s;
     records }
 
 (* ---- reporting -------------------------------------------------------- *)

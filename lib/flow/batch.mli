@@ -108,8 +108,8 @@ type summary = {
   cache_hits : int;     (** sizing stage-cache hits during this run *)
   cache_misses : int;   (** sizing stage-cache misses during this run *)
   domain_busy_s : (int * float) list;
-      (** per-domain busy seconds during this run (slot 0 is the calling
-          domain), from the [pool.domain.<i>.busy_us] telemetry counters *)
+      (** seconds each work loop spent running jobs during this run, per
+          worker slot ({!Engine.stats}); slots that ran no job are absent *)
   records : record list;  (** every record, in manifest order *)
 }
 
@@ -134,28 +134,22 @@ val read_journal : string -> record list * int
 
 (** {2 The in-order journal writer}
 
-    The checkpoint machinery {!run} is built on, exported so the synthesis
-    service ({!Serve}) journals its accepted jobs through the exact same
-    path — which is what makes a serve journal byte-identical to the
-    equivalent batch journal.  Records may be pushed in any completion
-    order under any index; lines reach the disk strictly in index order,
-    each flushed as soon as every earlier index has been written, so the
-    file is always a clean prefix of the final journal. *)
+    The checkpoint machinery under {!Engine}.  Records may be pushed in
+    any completion order under any index; lines reach the disk strictly
+    in index order, each flushed as soon as every earlier index has been
+    written, so the file is always a clean prefix of the final journal. *)
 
 type journal_writer
 
 val journal_open : string -> record list * journal_writer
 (** Open [path] as a journal to append to: parse its longest valid prefix,
     truncate any interruption damage after it, and return the recorded
-    prefix plus a writer whose index 0 is the next line to append.
-    Indices passed to {!journal_push} are relative to this open — resume
-    code maps them onto its own pending order. *)
+    prefix plus a writer whose index 0 is the next line to append. *)
 
 val journal_push : journal_writer -> int -> record -> unit
 (** [journal_push w i r] buffers [r] as line [i] (0-based, relative to
-    {!journal_open}) and flushes every contiguous buffered line.  The
-    record is rendered to canonical JSON on the calling thread, off the
-    writer lock.  Thread-safe. *)
+    {!journal_open}) and flushes every contiguous buffered line.
+    Thread-safe; the record is rendered off the writer lock. *)
 
 val journal_close : journal_writer -> unit
 (** Close the underlying channel.  Records buffered behind a gap (an index
@@ -176,26 +170,100 @@ val run_job :
   ?timeout_s:float ->
   ?retries:int ->
   ?executor:(job -> seed:int -> Mixsyn_util.Json.t) ->
-  ?on_attempt:(Mixsyn_util.Cancel.token -> unit) ->
   job ->
   record
 (** Execute one job with the batch robustness controls but no journal:
     attempt [1 + retries] times on exceptions (attempt [k] uses
     [seed + 1_000_003 * k]), map an expired timeout to [Timed_out]
     (timeouts are not retried), and trap everything else into [Failed].
-    [on_attempt] is called with each attempt's {!Mixsyn_util.Cancel}
-    token before the attempt starts — the hook the service uses to cancel
-    a job that is already running (cancellation surfaces as [Timed_out];
-    the caller that requested it remaps to [Cancelled]). *)
+    Each attempt runs under its own {!Mixsyn_util.Cancel} token, in a
+    [batch.job] telemetry span. *)
 
 val prefilter_job : job -> record option
-(** The static feasibility screen, exported for callers that accept jobs
-    one at a time (the service): [Some record] with an [Infeasible] status
-    when certified interval bounds prove a spec unsatisfiable on every
-    candidate topology, [None] when the job must execute.  A pure function
-    of the job — never wall-clock, never random — so prefiltered records
-    keep the journal's byte-identity.  Fault-injected jobs and jobs naming
-    an unknown topology always return [None]. *)
+(** The static feasibility screen: [Some record] with an [Infeasible]
+    status when certified interval bounds prove a spec unsatisfiable on
+    every candidate topology, [None] when the job must execute.  A pure
+    function of the job, so prefiltered records keep the journal's
+    byte-identity.  Fault-injected jobs and jobs naming an unknown
+    topology always return [None]. *)
+
+(** {2 The job engine}
+
+    The one job lifecycle behind {!run} and {!Serve}; they differ only in
+    how jobs arrive and where the work loops run.  {!run} submits a
+    manifest, closes admission, then runs one loop per worker on
+    {!Mixsyn_util.Pool.parallel_init}; the service submits one job per
+    request to loops on domains it spawns once per session.  Every
+    admitted job gets the next journal index in submission order, and
+    each index is pushed exactly once — prefiltered on admission,
+    cancelled while queued, or executed — so the journal's bytes depend
+    only on the jobs and their order. *)
+module Engine : sig
+  type t
+
+  type state =
+    | Queued
+    | Running
+    | Done of record  (** journalled *)
+
+  val create :
+    journal:string ->
+    executor:(job -> seed:int -> Mixsyn_util.Json.t) ->
+    timeout_s:float option ->
+    retries:int ->
+    prefilter:bool ->
+    capacity:int ->
+    record list * t
+  (** Open [journal] ({!journal_open}) and adopt its valid prefix as
+      finished jobs; return that prefix and the engine.  Jobs run as in
+      {!run_job} with [timeout_s] and [retries]; [prefilter] screens them
+      on admission; at most [capacity] wait in the queue.
+      @raise Invalid_argument when [retries < 0]. *)
+
+  type admission =
+    | Admitted of state  (** queued, or journalled by the prefilter *)
+    | Known of state     (** the id is already known; nothing added *)
+    | Full               (** [capacity] jobs are queued *)
+    | Closed
+
+  val submit : t -> job -> admission
+
+  val cancel : t -> string -> state option
+  (** The state the job was in: [Queued] is now journalled [Cancelled]
+      with 0 attempts; [Running] has had its token fired, and its
+      [Timed_out] is journalled as [Cancelled]; [Done] is unchanged;
+      [None] for an unknown id. *)
+
+  val find : t -> string -> state option
+
+  val work : t -> int -> unit
+  (** [work t slot] is one worker's loop: it runs queued jobs in FIFO
+      order, each inside {!Mixsyn_util.Pool.sequential_scope}, until
+      admission is closed and the queue is empty, and blocks while
+      admission is open and the queue empty. *)
+
+  val close : t -> unit
+  (** Stop admitting and wake idle work loops.  Idempotent. *)
+
+  val drained : t -> bool
+  (** Closed, and every admitted job journalled. *)
+
+  val close_journal : t -> unit
+  (** Call once the work loops have returned. *)
+
+  type stats = {
+    queued : int;    (** queue depth *)
+    running : int;
+    accepted : int;  (** admitted, prefiltered included *)
+    resumed : int;   (** adopted from the journal *)
+    finished : int;  (** journalled since {!create} *)
+    cancelled : int;
+    jobs : (string * state) list;  (** in submission order *)
+    busy_s : (int * float) list;   (** seconds on jobs, per worker slot *)
+  }
+
+  val stats : t -> stats
+end
 
 val run :
   ?jobs:int ->
@@ -207,41 +275,24 @@ val run :
   journal:string ->
   job list ->
   summary
-(** Run a whole manifest against [journal].  Jobs already recorded are
-    skipped; a truncated trailing line is cut before appending; the rest
-    execute on up to [jobs] (default {!Mixsyn_util.Pool.default_jobs})
-    domains, never more than {!Mixsyn_util.Pool.available_cores}, each
-    inside {!Mixsyn_util.Pool.sequential_scope} so the flows inside do not
-    contend for the pool.  Whole jobs are the unit of work stealing: each
-    domain claims one job at a time from the shared queue, keeping its
-    warm per-domain workspaces across the consecutive jobs it claims and
-    staying busy until the manifest drains even when job costs differ by
-    orders of magnitude.  Each worker
-    serializes its own records to canonical JSON off the writer lock; the
-    writer only orders lines and appends them in manifest order, flushed
-    as soon as contiguous, so an interruption at any point leaves a
-    resumable prefix.
+(** Run a whole manifest against [journal] through an {!Engine}: jobs
+    already recorded are skipped and a torn trailing line is cut; the
+    rest are submitted in manifest order, and once admission is closed
+    they run on [jobs] work loops (default
+    {!Mixsyn_util.Pool.default_jobs}, never more than
+    {!Mixsyn_util.Pool.available_cores} or the pending job count).  Each
+    loop claims one whole job at a time and keeps its warm per-domain
+    workspaces across the jobs it claims.
 
-    Unless [stage_cache] is [false], jobs share the process-global sizing
-    stage cache ({!Flow.size_stage}): manifests with repeated (topology,
-    specs, objectives, context, seed) combinations size once and reuse the
-    result, single-flight under concurrency.  Journals are byte-identical
-    with the cache on or off; the summary reports this run's hit/miss
-    delta and the per-domain busy seconds.
-
-    Unless [prefilter] is [false], every job first passes through the
-    static feasibility screen: a job with a spec that
-    {!Mixsyn_check.Bounds} proves unsatisfiable on all of its candidate
-    topologies is journalled as [Infeasible] (with the spec, its bound and
-    the certified enclosure) without ever entering the executor — no
-    annealing, no layout, no timeout slot.  The decision is a pure
-    function of the job, so prefiltered records preserve the journal's
-    byte-identity across worker counts and resumes.  Fault-injected jobs
-    and jobs naming an unknown topology are never prefiltered.  Skip
-    counts land in the [batch.prefiltered] telemetry counter.
-
-    For a pure executor the finished journal's bytes depend only on the
-    manifest, never on [jobs] or on how often the run was interrupted.
+    [stage_cache] (default [true]) shares the process-global sizing stage
+    cache ({!Flow.size_stage}) across jobs, single-flight under
+    concurrency, without changing a journal byte; the summary reports this
+    run's hit/miss delta.  [prefilter] (default [true]) journals a job
+    whose spec {!Mixsyn_check.Bounds} proves unsatisfiable on all its
+    candidate topologies as [Infeasible] without running it, counted in
+    the [batch.prefiltered] telemetry counter.  For a pure executor the
+    finished journal depends only on the manifest, never on [jobs] or on
+    interruptions.
 
     @raise Invalid_argument on duplicate manifest ids, a journal record
     whose id is not in the manifest, or [retries < 0]. *)

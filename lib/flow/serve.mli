@@ -1,17 +1,16 @@
-(** The persistent synthesis service: {!Batch} execution behind HTTP.
+(** The persistent synthesis service: an HTTP front end over {!Batch.Engine}.
 
     [msyn serve] promotes the batch layer to a long-running daemon: one
     warm process — domain pool spawned, sizing stage cache populated —
     answering synthesis requests over a dependency-free HTTP/1.1 JSON
     protocol ({!Mixsyn_util.Http}).  Jobs are submitted one at a time in
-    the manifest's per-line JSON format, land in a bounded work queue, and
-    execute on dedicated worker domains through the exact same path as a
-    batch run: {!Batch.prefilter_job} on admission, {!Batch.run_job} on a
-    worker inside {!Mixsyn_util.Pool.sequential_scope}, every record
-    appended through {!Batch.journal_open}/{!Batch.journal_push} in
-    {e submission order}.
+    the manifest's per-line JSON format through {!Batch.Engine.submit},
+    the same admission {!Batch.run} uses: prefilter, bounded queue,
+    journal index in {e submission order}.  [config.workers] domains,
+    spawned once per session, run {!Batch.Engine.work}.  This module adds
+    routing, per-client rate limits and the [429]/[503] answers.
 
-    That shared path is the service's contract: the journal a serve
+    That shared engine is the service's contract: the journal a serve
     session writes is byte-identical to the journal [msyn batch] writes
     for the same jobs in the same order (absent explicit cancellations,
     which only the service can produce).  A killed or drained server
@@ -39,14 +38,15 @@
       queued and running job, flush the journal, exit.  [SIGTERM] and
       [SIGINT] trigger the same drain from the CLI.
     - [GET /healthz] — liveness; [GET /metrics] — queue depth, job and
-      rejection counts, stage-cache hit rate, per-worker busy seconds and
-      the full {!Mixsyn_util.Telemetry} rollup. *)
+      rejection counts, stage-cache hit rate, this session's busy seconds
+      per worker ({!Batch.Engine.stats}, one entry per worker) and the
+      full {!Mixsyn_util.Telemetry} rollup. *)
 
 type config = {
   host : string;             (** bind address; default ["127.0.0.1"] *)
   port : int;                (** [0] binds an ephemeral port *)
   journal : string;          (** journal-as-checkpoint path *)
-  workers : int;             (** worker domains executing jobs *)
+  workers : int;             (** worker domains, spawned once per session *)
   queue_capacity : int;      (** queued-job bound; past it submits get 429 *)
   rate_limit : float;        (** submissions/s/client token rate; 0 = off *)
   rate_burst : float;        (** token-bucket capacity *)

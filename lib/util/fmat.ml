@@ -249,11 +249,11 @@ module Cplx = struct
     for k = 0 to n - 1 do
       let s = ref 0.0 in
       for i = 0 to n - 1 do
-        s :=
-          Float.max !s
-            (Float.hypot
-               (A1.unsafe_get are ((i * n) + k))
-               (A1.unsafe_get aim ((i * n) + k)))
+        (* [Float.max !s m] on magnitudes, as in {!Real.factor} *)
+        let m =
+          Float.hypot (A1.unsafe_get are ((i * n) + k)) (A1.unsafe_get aim ((i * n) + k))
+        in
+        if m > !s || m <> m then s := m
       done;
       FA.set ws.col_scale k !s;
       perm.(k) <- k

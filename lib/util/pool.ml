@@ -239,11 +239,9 @@ let effective_jobs jobs n =
     let j = match jobs with Some j -> clamp_jobs j | None -> default_jobs () in
     min (min j (available_cores ())) (max 1 n)
 
-let parallel_mapi ?jobs f a =
+let parallel_map ?jobs f a =
   let jobs = effective_jobs jobs (Array.length a) in
-  if jobs = 1 then Array.mapi f a else run_parallel ~jobs f a
-
-let parallel_map ?jobs f a = parallel_mapi ?jobs (fun _ x -> f x) a
+  if jobs = 1 then Array.map f a else run_parallel ~jobs (fun _ x -> f x) a
 
 let parallel_init ?jobs n f =
   if n < 0 then invalid_arg "Pool.parallel_init";

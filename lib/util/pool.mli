@@ -66,8 +66,6 @@ val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     ([pool.parallel_runs], [pool.minor_collections],
     [pool.major_collections]). *)
 
-val parallel_mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
-
 val parallel_init : ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** [parallel_init n f] is [Array.init n f] in parallel.
     @raise Invalid_argument when [n < 0]. *)

@@ -519,6 +519,104 @@ let prop_stealing_order_invariant =
       in
       String.equal (run 1) (run workers))
 
+(* --- the job engine under random interleavings ----------------------------- *)
+
+module Engine = Batch.Engine
+
+(* ids e0..e5 execute; e6 is prefiltered on admission *)
+let engine_job k =
+  manifest_exn
+    (if k = 6 then infeasible_line "e6"
+     else Printf.sprintf "{\"id\": \"e%d\", \"seed\": %d}" k (k + 1))
+  |> List.hd
+
+let prop_engine_interleavings =
+  QCheck.Test.make ~name:"engine interleavings journal each admitted job once, in order"
+    ~count:30
+    QCheck.(
+      quad (int_range 0 2) (int_range 0 2) bool
+        (list_of_size Gen.(int_range 1 24) (pair (int_range 0 3) (int_range 0 6))))
+    (fun (workers, capacity, spinning, ops) ->
+      (* 1-3 each, offset so that shrinking toward 0 stays in range *)
+      let workers = workers + 1 and capacity = capacity + 1 in
+      let ran = Atomic.make [] in
+      let rec note id =
+        let l = Atomic.get ran in
+        if not (Atomic.compare_and_set ran l (id :: l)) then note id
+      in
+      let executor (job : Batch.job) ~seed =
+        note job.Batch.job_id;
+        if spinning then begin
+          let t0 = Unix.gettimeofday () in
+          while Unix.gettimeofday () -. t0 < 0.003 do
+            Cancel.guard ();
+            Unix.sleepf 2e-4
+          done
+        end;
+        cheap_executor job ~seed
+      in
+      let journal = temp_journal () in
+      let _, engine =
+        Engine.create ~journal ~executor ~timeout_s:None ~retries:0 ~prefilter:true ~capacity
+      in
+      let domains =
+        Array.init workers (fun slot -> Domain.spawn (fun () -> Engine.work engine slot))
+      in
+      let admitted = ref [] and cancelled_queued = ref [] in
+      let running () =
+        List.find_opt (fun id -> Engine.find engine id = Some Engine.Running) !admitted
+      in
+      List.iter
+        (fun (op, k) ->
+          let id = Printf.sprintf "e%d" k in
+          match op with
+          | 0 | 1 ->
+            (* a resubmit once [id] is known *)
+            (match Engine.submit engine (engine_job k) with
+             | Engine.Admitted _ -> admitted := id :: !admitted
+             | Engine.Known _ | Engine.Full | Engine.Closed -> ())
+          | 2 ->
+            if Engine.cancel engine id = Some Engine.Queued then
+              cancelled_queued := id :: !cancelled_queued
+          | _ ->
+            (* cancel whichever job is running, waiting a few ms for one *)
+            let rec poll n =
+              match running () with
+              | Some id -> ignore (Engine.cancel engine id)
+              | None when n > 0 -> Unix.sleepf 5e-4; poll (n - 1)
+              | None -> ()
+            in
+            poll 10)
+        ops;
+      Engine.close engine;
+      Array.iter Domain.join domains;
+      Engine.close_journal engine;
+      let lines = List.filter (( <> ) "") (String.split_on_char '\n' (read_file journal)) in
+      Sys.remove journal;
+      let records =
+        List.map
+          (fun l ->
+            match Result.bind (Json.parse l) Batch.record_of_json with
+            | Ok r -> r
+            | Error m -> QCheck.Test.fail_reportf "journal line %S does not parse: %s" l m)
+          lines
+      in
+      let ids = List.map (fun r -> r.Batch.rec_id) records in
+      if List.length (List.sort_uniq compare ids) <> List.length ids then
+        QCheck.Test.fail_reportf "an id is journalled twice: [%s]" (String.concat " " ids);
+      if ids <> List.rev !admitted then
+        QCheck.Test.fail_reportf "journal ids [%s], admitted [%s]" (String.concat " " ids)
+          (String.concat " " (List.rev !admitted));
+      List.iter
+        (fun id ->
+          if List.mem id (Atomic.get ran) then
+            QCheck.Test.fail_reportf "%s was cancelled while queued but reached the executor" id;
+          match List.find (fun r -> r.Batch.rec_id = id) records with
+          | { Batch.status = Batch.Cancelled; attempts = 0; _ } -> ()
+          | _ -> QCheck.Test.fail_reportf "%s cancelled while queued, journalled otherwise" id)
+        !cancelled_queued;
+      true)
+
 (* --- a real flow under the timeout -------------------------------------- *)
 
 let test_flow_executor_times_out () =
@@ -564,5 +662,6 @@ let () =
       ( "stage-cache",
         [ Alcotest.test_case "journal invariant" `Quick test_stage_cache_journal_invariant;
           QCheck_alcotest.to_alcotest prop_stealing_order_invariant ] );
+      ("engine", [ QCheck_alcotest.to_alcotest prop_engine_interleavings ]);
       ( "flow",
         [ Alcotest.test_case "cooperative timeout" `Slow test_flow_executor_times_out ] ) ]

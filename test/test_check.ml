@@ -63,7 +63,7 @@ let diag_render_json () =
   Alcotest.(check string) "empty json" "[]" (D.to_json []);
   let ds = [ D.error ~rule:"r.a" ~loc:"spot \"q\"" "broke" ] in
   Alcotest.(check string) "escaped object"
-    "[{\"severity\": \"error\", \"rule\": \"r.a\", \"loc\": \"spot \\\"q\\\"\", \"msg\": \"broke\"}]"
+    "[{\"severity\":\"error\",\"rule\":\"r.a\",\"loc\":\"spot \\\"q\\\"\",\"msg\":\"broke\"}]"
     (D.to_json ds);
   let rendered = D.render ds in
   let tail = "1 error(s), 0 warning(s), 0 info" in

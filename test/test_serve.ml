@@ -396,6 +396,33 @@ let test_drain_rejects_submissions () =
   Alcotest.(check int) "draining rejection counted" 1 stats.Serve.rejected_draining;
   Alcotest.(check int) "late job not admitted" 1 stats.Serve.accepted
 
+(* /metrics reports this session's workers only: a second server in the
+   same process must not inherit the first one's busy seconds *)
+let test_busy_per_session () =
+  let busy_sum h =
+    let _, _, body = get h "/metrics" in
+    match Result.map (Json.member "worker_busy_s") (Json.parse body) with
+    | Ok (Some (Json.Obj l)) ->
+      List.fold_left (fun acc (_, v) -> acc +. Option.value ~default:nan (Json.to_float v)) 0.0 l
+    | _ -> Alcotest.fail "metrics lacks worker_busy_s"
+  in
+  let first, _, j1 =
+    with_server ~workers:1 ~executor:(spin_executor ~busy_s:0.4 ()) (fun h ->
+        ignore (post h "/jobs" {|{"id": "long"}|});
+        ignore (poll_done h "long");
+        busy_sum h)
+  in
+  let second, _, j2 =
+    with_server ~workers:1 (fun h ->
+        ignore (post h "/jobs" {|{"id": "short"}|});
+        ignore (poll_done h "short");
+        busy_sum h)
+  in
+  List.iter Sys.remove [ j1; j2 ];
+  if first < 0.4 then Alcotest.failf "first server reports %.3f s for a 0.4 s job" first;
+  if second >= 0.2 then
+    Alcotest.failf "second server reports %.3f s busy for one cheap job" second
+
 (* the byte-identity contract: a serve session and a batch run over the
    same jobs in the same order write the same journal bytes.  The mix
    covers executed, prefiltered and fault-injected records. *)
@@ -525,6 +552,7 @@ let () =
           Alcotest.test_case "cancel running job" `Quick test_cancel_running;
           Alcotest.test_case "drain rejects submissions" `Quick
             test_drain_rejects_submissions;
+          Alcotest.test_case "busy seconds per session" `Quick test_busy_per_session;
           Alcotest.test_case "journal identity with batch" `Quick
             test_journal_identity_with_batch;
           Alcotest.test_case "resume from torn journal" `Quick

@@ -234,14 +234,16 @@ let test_fmat_scaled_pivot () =
    | exception Fmat.Singular _ -> ()
    | _ -> Alcotest.fail "flat kernel missed scale-relative singularity")
 
-(* The flat kernel's column scale and pivot floor compare inline where the
+(* The flat kernels' column scales and pivot floor compare inline where the
    oracle calls [Float.max]; non-finite entries are where the two could
    part.  Each system must give the same bits (any two NaNs count as equal:
    their payload follows the operand order a compiler picks for a
-   commutative operation), or raise [Singular] at the same column, through
-   both the dense and the stamp-list loaders. *)
-let test_fmat_real_special_values () =
+   commutative operation), or raise [Singular] at the same column: real
+   systems through both the dense and the stamp-list loaders, complex ones
+   through [load_ac]. *)
+let test_fmat_special_values () =
   let nan = Float.nan and inf = Float.infinity in
+  let same u v = Int64.bits_of_float u = Int64.bits_of_float v || (Float.is_nan u && Float.is_nan v) in
   let cases =
     [ ("nan entry", [| [| 2.0; 1.0; 0.0 |]; [| 1.0; nan; 1.0 |]; [| 0.0; 1.0; 3.0 |] |], None);
       ("nan pivot column", [| [| nan; 1.0 |]; [| 1.0; 2.0 |] |], None);
@@ -285,16 +287,69 @@ let test_fmat_real_special_values () =
         (fun (loader, flat) ->
           match (boxed, flat) with
           | Error k, Error k' when k = k' -> ()
-          | Ok x, Ok y
-            when Array.for_all2
-                   (fun u v ->
-                     Int64.bits_of_float u = Int64.bits_of_float v
-                     || (Float.is_nan u && Float.is_nan v))
-                   x y -> ()
+          | Ok x, Ok y when Array.for_all2 same x y -> ()
           | _ -> Alcotest.failf "%s: %s kernel differs from the oracle" name loader)
         [ ("dense", outcome (solve_with dense));
           ("stamp-list", outcome (solve_with (fun ws -> load_dense ws a b))) ])
     cases;
+  (* complex entries as (re, im) planes; a magnitude is [Float.hypot], so an
+     infinite part makes it infinite whatever the other part holds *)
+  let z3 = [| [| 0.5; 0.0; 0.0 |]; [| 0.0; 0.5; 0.0 |]; [| 0.0; 0.0; 0.5 |] |] in
+  let z2 = [| [| 0.0; 0.0 |]; [| 0.0; 0.0 |] |] in
+  let complex_cases =
+    [ ( "complex nan real part",
+        [| [| 2.0; 1.0; 0.0 |]; [| 1.0; nan; 1.0 |]; [| 0.0; 1.0; 3.0 |] |], z3, None );
+      ("complex nan imaginary pivot", [| [| 1.0; 1.0 |]; [| 1.0; 2.0 |] |],
+       [| [| nan; 0.0 |]; [| 0.0; 0.0 |] |], None);
+      ( "complex nan beside a tiny pivot",
+        [| [| 1.0; 1.0; 0.0 |]; [| 0.0; 1e-20; 1.0 |]; [| 0.0; 0.0; 1.0 |] |],
+        [| [| 0.0; 0.0; 0.0 |]; [| 0.0; 0.0; 0.0 |]; [| 0.0; nan; 0.0 |] |], None );
+      ( "complex +inf imaginary entry",
+        [| [| 2.0; 1.0; 0.0 |]; [| 1.0; 4.0; 0.0 |]; [| 0.0; 1.0; 3.0 |] |],
+        [| [| 0.0; 0.0; 0.0 |]; [| 0.0; 0.0; inf |]; [| 0.0; 0.0; 0.0 |] |], None );
+      ("complex +inf above a finite pivot", [| [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |],
+       [| [| 0.0; inf |]; [| 0.0; 0.0 |] |], Some 1);
+      ("complex -inf pivot", [| [| Float.neg_infinity; 1.0 |]; [| 1.0; 2.0 |] |], z2, None);
+      ("complex inf and nan in one entry", [| [| inf; 1.0 |]; [| 1.0; 2.0 |] |],
+       [| [| nan; 0.0 |]; [| 0.0; 0.0 |] |], None) ]
+  in
+  List.iter
+    (fun (name, re, im, singular_at) ->
+      let n = Array.length re in
+      let a =
+        Array.init n (fun i ->
+            Array.init n (fun j -> { Complex.re = re.(i).(j); im = im.(i).(j) }))
+      in
+      let b = Array.init n (fun i -> { Complex.re = float_of_int (i + 1); im = 1.0 }) in
+      let boxed =
+        match Cplx.solve a b with x -> Ok x | exception Cplx.Singular k -> Error k
+      in
+      (match (singular_at, boxed) with
+       | Some k, Error k' when k = k' -> ()
+       | None, Ok _ -> ()
+       | _ -> Alcotest.failf "%s: the oracle did not classify it as expected" name);
+      let flat =
+        outcome (fun () ->
+            Fmat.with_cplx n (fun ws ->
+                (* omega = 1 loads the imaginary plane exactly *)
+                Fmat.Cplx.load_ac ws ~g:(Fmat.flatten re) ~c:(Fmat.flatten im) ~omega:1.0;
+                Fmat.Cplx.set_rhs ws
+                  ~re:(Float.Array.init n (fun i -> b.(i).Complex.re))
+                  ~im:(Float.Array.init n (fun i -> b.(i).Complex.im));
+                Fmat.Cplx.factor ws;
+                let x = Array.make n Complex.zero in
+                Fmat.Cplx.solve ws x;
+                x))
+      in
+      match (boxed, flat) with
+      | Error k, Error k' when k = k' -> ()
+      | Ok x, Ok y
+        when Array.for_all2
+               (fun (u : Complex.t) (v : Complex.t) ->
+                 same u.Complex.re v.Complex.re && same u.Complex.im v.Complex.im)
+               x y -> ()
+      | _ -> Alcotest.failf "%s: complex kernel differs from the oracle" name)
+    complex_cases;
   (* the inline floor is [Float.max 1e-300 (1e-14 *. s)] bit for bit *)
   List.iter
     (fun s ->
@@ -970,7 +1025,7 @@ let () =
         [ Alcotest.test_case "real bit-exact vs boxed" `Quick test_fmat_real_bitexact;
           Alcotest.test_case "complex bit-exact vs boxed" `Quick test_fmat_cplx_bitexact;
           Alcotest.test_case "scaled pivot threshold" `Quick test_fmat_scaled_pivot;
-          Alcotest.test_case "non-finite entries match boxed" `Quick test_fmat_real_special_values;
+          Alcotest.test_case "non-finite entries match boxed" `Quick test_fmat_special_values;
           Alcotest.test_case "workspace pool reuse" `Quick test_fmat_workspace_reuse ] );
       ( "poly",
         [ Alcotest.test_case "eval" `Quick test_poly_eval;
