@@ -653,7 +653,11 @@ module Engine = struct
         (match was with
          | Done _ -> ()
          | Queued ->
-           (* the work loop that pops it skips it *)
+           (* its queue slot frees at once *)
+           let kept = Queue.create () in
+           Queue.iter (fun ((q, _) as item) -> if q != e then Queue.push item kept) t.queue;
+           Queue.clear t.queue;
+           Queue.transfer kept t.queue;
            finish t e { rec_id = id; rec_seed = e.e_seed; attempts = 0; status = Cancelled }
          | Running ->
            e.e_cancel <- true;
@@ -682,7 +686,6 @@ module Engine = struct
     else
       match Queue.take_opt t.queue with
       | None -> None
-      | Some ({ e_state = Done _; _ }, _) -> next t (* cancelled while queued *)
       | Some (e, job) ->
         e.e_state <- Running;
         t.active <- t.active + 1;

@@ -230,7 +230,8 @@ module Engine : sig
 
   val cancel : t -> string -> state option
   (** The state the job was in: [Queued] is now journalled [Cancelled]
-      with 0 attempts; [Running] has had its token fired, and its
+      with 0 attempts and has left the queue, so its slot is free;
+      [Running] has had its token fired, and its
       [Timed_out] is journalled as [Cancelled]; [Done] is unchanged;
       [None] for an unknown id. *)
 

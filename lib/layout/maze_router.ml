@@ -104,125 +104,177 @@ let build_grid config cells =
     all_rects;
   g
 
-(* priority queue: simple binary heap on (cost, key) *)
-module Heap = struct
-  type t = {
-    mutable data : (float * int) array;
-    mutable size : int;
-  }
+(* The search workspace: [dist] and [prev] hold at a node only while its
+   [stamp] equals the current search's generation [gen], so a search
+   starts by bumping [gen], not by clearing the grid.  The heap is a
+   binary min-heap laid flat: [keys.(i)] is the key of [nodes.(i)]. *)
+type workspace = {
+  dist : float array;
+  prev : int array;
+  stamp : int array;
+  mutable gen : int;
+  mutable keys : float array;
+  mutable nodes : int array;
+  mutable size : int;
+}
 
-  let create () = { data = Array.make 256 (0.0, 0); size = 0 }
+(* what every rip-up pass of one [route] call shares: the grid rasterized
+   once with every pin snapped to its node (a pass routes on a copy), the
+   net tables, the mirror axis and the search workspace *)
+type job = {
+  config : config;
+  base : grid;
+  nets : net_spec array;
+  class_of : net_class array;
+  penalty : float array;
+      (* per net: the adjacency penalty, x8 under a coupling budget *)
+  pin_nodes : int list array;  (* per net *)
+  symmetric_pairs : (string * string) list;
+  axis_x : float;  (* the mirror axis, in grid columns *)
+  ws : workspace;
+}
 
-  let push h item =
-    if h.size = Array.length h.data then begin
-      let bigger = Array.make (2 * h.size) (0.0, 0) in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- item;
-    let rec up i =
-      if i > 0 then begin
-        let parent = (i - 1) / 2 in
-        if fst h.data.(i) < fst h.data.(parent) then begin
-          let tmp = h.data.(i) in
-          h.data.(i) <- h.data.(parent);
-          h.data.(parent) <- tmp;
-          up parent
+let workspace n =
+  { dist = Array.make n infinity;
+    prev = Array.make n (-1);
+    stamp = Array.make n 0;
+    gen = 0;
+    keys = Array.make 256 0.0;
+    nodes = Array.make 256 0;
+    size = 0 }
+
+(* The heap compares keys with a strict [<] and prefers the left child to
+   the right on ties, so equal keys pop in one fixed order; that order
+   picks between equal-cost paths. *)
+
+(* push [node] keyed by its distance *)
+let push ws node =
+  if ws.size = Array.length ws.keys then begin
+    let keys = Array.make (2 * ws.size) 0.0 and nodes = Array.make (2 * ws.size) 0 in
+    Array.blit ws.keys 0 keys 0 ws.size;
+    Array.blit ws.nodes 0 nodes 0 ws.size;
+    ws.keys <- keys;
+    ws.nodes <- nodes
+  end;
+  let keys = ws.keys and nodes = ws.nodes in
+  let key = ws.dist.(node) in
+  let i = ref ws.size in
+  while !i > 0 && key < keys.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    keys.(!i) <- keys.(parent);
+    nodes.(!i) <- nodes.(parent);
+    i := parent
+  done;
+  keys.(!i) <- key;
+  nodes.(!i) <- node;
+  ws.size <- ws.size + 1
+
+(* drop the top entry, which the caller read at index 0: the last entry
+   moves to the root and sifts down *)
+let pop ws =
+  let keys = ws.keys and nodes = ws.nodes in
+  ws.size <- ws.size - 1;
+  let n = ws.size in
+  let key = keys.(n) and node = nodes.(n) in
+  let i = ref 0 and settled = ref false in
+  while not !settled do
+    let left = (2 * !i) + 1 in
+    let right = left + 1 in
+    let c = if left < n && keys.(left) < key then left else !i in
+    let c = if right < n && keys.(right) < (if c = !i then key else keys.(c)) then right else c in
+    if c = !i then settled := true
+    else begin
+      keys.(!i) <- keys.(c);
+      nodes.(!i) <- nodes.(c);
+      i := c
+    end
+  done;
+  keys.(!i) <- key;
+  nodes.(!i) <- node
+
+(* [g]'s node at [layer], [x], [y] holds a wire or pin of a net that net
+   [id] must not run beside *)
+let clashes j g id layer x y =
+  in_bounds g x y
+  &&
+  let s = g.state.(index g layer x y) in
+  s >= 0 && s <> id && not (compatible j.class_of.(s) j.class_of.(id))
+
+(* relax the step from [node], settled at its distance, to the node at
+   [layer], [x], [y]: a via when [via], else one track step.  Entering a
+   node beside an incompatible net costs the net's penalty, and metal2
+   costs 0.05 more (a mild preference for metal1). *)
+let relax j g ~id node layer x y ~via =
+  if in_bounds g x y then begin
+    let ni = index g layer x y in
+    let s = g.state.(ni) in
+    if s <> obstacle && (s < 0 || s = id) then begin
+      let near =
+        clashes j g id layer (x + 1) y
+        || clashes j g id layer (x - 1) y
+        || clashes j g id layer x (y + 1)
+        || clashes j g id layer x (y - 1)
+      in
+      let sc = (if near then j.penalty.(id) else 0.0) +. if layer = 1 then 0.05 else 0.0 in
+      if sc < infinity then begin
+        let ws = j.ws in
+        let nd = ws.dist.(node) +. (if via then g.via_base else 1.0) +. sc in
+        let known = if ws.stamp.(ni) = ws.gen then ws.dist.(ni) else infinity in
+        if nd < known then begin
+          ws.stamp.(ni) <- ws.gen;
+          ws.dist.(ni) <- nd;
+          ws.prev.(ni) <- node;
+          push ws ni
         end
       end
-    in
-    up h.size;
-    h.size <- h.size + 1
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      h.data.(0) <- h.data.(h.size);
-      let rec down i =
-        let left = (2 * i) + 1 and right = (2 * i) + 2 in
-        let smallest = ref i in
-        if left < h.size && fst h.data.(left) < fst h.data.(!smallest) then smallest := left;
-        if right < h.size && fst h.data.(right) < fst h.data.(!smallest) then smallest := right;
-        if !smallest <> i then begin
-          let tmp = h.data.(i) in
-          h.data.(i) <- h.data.(!smallest);
-          h.data.(!smallest) <- tmp;
-          down !smallest
-        end
-      in
-      down 0;
-      Some top
     end
-end
+  end
 
-(* Dijkstra from a set of sources to any target; returns the path as node
-   indices.  [step_cost] prices entering a node. *)
-let search g ~sources ~targets ~step_cost =
-  let n = Array.length g.state in
-  let dist = Array.make n infinity in
-  let prev = Array.make n (-1) in
-  let heap = Heap.create () in
-  let target_set = Array.make n false in
-  List.iter (fun t -> target_set.(t) <- true) targets;
+(* Dijkstra for net [id] over the pass grid [g], from every node of
+   [sources] to [target]: the path as node indices, source first *)
+let search j g ~id ~sources ~target =
+  Mixsyn_util.Cancel.guard ();
+  let ws = j.ws in
+  ws.gen <- ws.gen + 1;
+  ws.size <- 0;
   List.iter
     (fun s ->
-      dist.(s) <- 0.0;
-      Heap.push heap (0.0, s))
+      ws.stamp.(s) <- ws.gen;
+      ws.dist.(s) <- 0.0;
+      ws.prev.(s) <- -1;
+      push ws s)
     sources;
-  let found = ref None in
-  let expansions = ref 0 in
-  let rec run () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, node) ->
-      incr expansions;
-      if !found <> None then ()
-      else if d > dist.(node) then run ()
-      else if target_set.(node) then found := Some node
-      else begin
-        let layer = node / (g.nx * g.ny) in
-        let rest = node mod (g.nx * g.ny) in
-        let y = rest / g.nx and x = rest mod g.nx in
-        let try_neighbor nlayer nx_ ny_ base =
-          if in_bounds g nx_ ny_ then begin
-            let ni = index g nlayer nx_ ny_ in
-            let sc = step_cost ni in
-            if sc < infinity then begin
-              let nd = d +. base +. sc in
-              if nd < dist.(ni) then begin
-                dist.(ni) <- nd;
-                prev.(ni) <- node;
-                Heap.push heap (nd, ni)
-              end
-            end
-          end
-        in
-        try_neighbor layer (x + 1) y 1.0;
-        try_neighbor layer (x - 1) y 1.0;
-        try_neighbor layer x (y + 1) 1.0;
-        try_neighbor layer x (y - 1) 1.0;
-        try_neighbor (1 - layer) x y g.via_base;
-        run ()
-      end
-  in
-  run ();
+  let plane = g.nx * g.ny in
+  let expansions = ref 0 and found = ref false in
+  while (not !found) && ws.size > 0 do
+    let d = ws.keys.(0) and node = ws.nodes.(0) in
+    pop ws;
+    incr expansions;
+    if d > ws.dist.(node) then ()
+    else if node = target then found := true
+    else begin
+      let layer = node / plane in
+      let rest = node mod plane in
+      let y = rest / g.nx and x = rest mod g.nx in
+      relax j g ~id node layer (x + 1) y ~via:false;
+      relax j g ~id node layer (x - 1) y ~via:false;
+      relax j g ~id node layer x (y + 1) ~via:false;
+      relax j g ~id node layer x (y - 1) ~via:false;
+      relax j g ~id node (1 - layer) x y ~via:true
+    end
+  done;
   Mixsyn_util.Telemetry.add "router.grid_expansions" !expansions;
-  match !found with
-  | None -> None
-  | Some t ->
-    let rec trace node acc = if node = -1 then acc else trace prev.(node) (node :: acc) in
-    Some (trace t [])
+  if !found then begin
+    let rec trace node acc = if node = -1 then acc else trace ws.prev.(node) (node :: acc) in
+    Some (trace target [])
+  end
+  else None
 
-let route_pass ?(config = default_config) ?(symmetric_pairs = []) ~priority ~salt ~cells ~nets () =
+let prepare config symmetric_pairs cells nets =
   let g = build_grid config cells in
   let nets = Array.of_list nets in
   let net_id = Hashtbl.create 16 in
   Array.iteri (fun i spec -> Hashtbl.replace net_id spec.net i) nets;
-  let class_of = Array.map (fun spec -> spec.n_class) nets in
-  let via_at = Array.make (Array.length g.state) false in
-  (* pin nodes per net *)
   let pin_nodes = Array.make (Array.length nets) [] in
   (* snap each pin to the nearest metal1 node that is free or already owned
      by the same net (pins of distinct nets can sit closer than the pitch) *)
@@ -267,90 +319,6 @@ let route_pass ?(config = default_config) ?(symmetric_pairs = []) ~priority ~sal
             assign_pin id gx gy)
         c.Cell.pins)
     cells;
-  let incompatible_neighbor id node =
-    (* same-layer 4-neighbourhood *)
-    let layer = node / (g.nx * g.ny) in
-    let rest = node mod (g.nx * g.ny) in
-    let y = rest / g.nx and x = rest mod g.nx in
-    let bad = ref false in
-    let look nx_ ny_ =
-      if in_bounds g nx_ ny_ then begin
-        let s = g.state.(index g layer nx_ ny_) in
-        if s >= 0 && s <> id && not (compatible class_of.(s) class_of.(id)) then bad := true
-      end
-    in
-    look (x + 1) y;
-    look (x - 1) y;
-    look x (y + 1);
-    look x (y - 1);
-    !bad
-  in
-  let step_cost id node =
-    let s = g.state.(node) in
-    if s = obstacle then infinity
-    else if s >= 0 && s <> id then infinity
-    else begin
-      let budget_scale =
-        match nets.(id).coupling_budget with Some _ -> 8.0 | None -> 1.0
-      in
-      let layer = node / (g.nx * g.ny) in
-      let via_extra = if layer = 1 then 0.05 else 0.0 in
-      (* mild preference for metal1 *)
-      (if incompatible_neighbor id node then config.adjacency_penalty *. budget_scale else 0.0)
-      +. via_extra
-    end
-  in
-  let occupy id path =
-    List.iter (fun node -> g.state.(node) <- id) path;
-    (* vias: layer changes along the path *)
-    let rec vias acc = function
-      | a :: (b :: _ as rest) ->
-        let la = a / (g.nx * g.ny) and lb = b / (g.nx * g.ny) in
-        if la <> lb then begin
-          via_at.(a) <- true;
-          vias (acc + 1) rest
-        end
-        else vias acc rest
-      | [ _ ] | [] -> acc
-    in
-    vias 0 path
-  in
-  let rects_of_path path =
-    let half = 0.5 *. config.rules.Rules.min_width Geom.Metal1 in
-    List.filter_map
-      (fun node ->
-        let layer_i = node / (g.nx * g.ny) in
-        let rest = node mod (g.nx * g.ny) in
-        let y = rest / g.nx and x = rest mod g.nx in
-        let wx, wy = world_of g x y in
-        let layer = if layer_i = 0 then Geom.Metal1 else Geom.Metal2 in
-        Some (Geom.rect layer (wx -. half) (wy -. half) (wx +. half) (wy +. half)))
-      path
-  in
-  (* net ordering: sensitive nets first (they get clean tracks), then by pin
-     count *)
-  let order =
-    let ids = Array.to_list (Array.mapi (fun i _ -> i) nets) in
-    let rank i =
-      (* lower ranks route first: rip-up priority, then sensitivity, then
-         pin count; the salt rotates ties so retry passes explore different
-         orderings *)
-      let prio = if List.mem nets.(i).net priority then 0 else 1 in
-      let sens = if class_of.(i) = Sensitive then 0 else 1 in
-      (prio, sens, (i + salt) mod max 1 (Array.length nets), -List.length pin_nodes.(i))
-    in
-    List.sort (fun a b -> compare (rank a) (rank b)) ids
-  in
-  let wires = ref [] and failed = ref [] in
-  let symmetric_ok = ref 0 in
-  let mirrored_paths : (string, int list) Hashtbl.t = Hashtbl.create 4 in
-  (* symmetry: if net is the second of a pair and its partner routed, try the
-     mirror image about the partner's pin-centroid axis *)
-  let partner_of net =
-    List.fold_left
-      (fun acc (a, b) -> if b = net then Some a else acc)
-      None symmetric_pairs
-  in
   let axis_x =
     (* the global mirror axis: centroid of all pins of paired nets *)
     let xs = ref [] in
@@ -372,11 +340,75 @@ let route_pass ?(config = default_config) ?(symmetric_pairs = []) ~priority ~sal
     | [] -> 0.0
     | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
   in
+  { config;
+    base = g;
+    nets;
+    class_of = Array.map (fun spec -> spec.n_class) nets;
+    penalty =
+      Array.map
+        (fun spec ->
+          config.adjacency_penalty
+          *. match spec.coupling_budget with Some _ -> 8.0 | None -> 1.0)
+        nets;
+    pin_nodes;
+    symmetric_pairs;
+    axis_x;
+    ws = workspace (Array.length g.state) }
+
+let route_pass j ~priority ~salt =
+  let g = { j.base with state = Array.copy j.base.state } in
+  let nets = j.nets and pin_nodes = j.pin_nodes in
+  let occupy id path =
+    List.iter (fun node -> g.state.(node) <- id) path;
+    (* vias: layer changes along the path *)
+    let rec vias acc = function
+      | a :: (b :: _ as rest) ->
+        if a / (g.nx * g.ny) <> b / (g.nx * g.ny) then vias (acc + 1) rest else vias acc rest
+      | [ _ ] | [] -> acc
+    in
+    vias 0 path
+  in
+  let rects_of_path path =
+    let half = 0.5 *. j.config.rules.Rules.min_width Geom.Metal1 in
+    List.map
+      (fun node ->
+        let layer_i = node / (g.nx * g.ny) in
+        let rest = node mod (g.nx * g.ny) in
+        let y = rest / g.nx and x = rest mod g.nx in
+        let wx, wy = world_of g x y in
+        let layer = if layer_i = 0 then Geom.Metal1 else Geom.Metal2 in
+        Geom.rect layer (wx -. half) (wy -. half) (wx +. half) (wy +. half))
+      path
+  in
+  (* net ordering: sensitive nets first (they get clean tracks), then by pin
+     count *)
+  let order =
+    let ids = Array.to_list (Array.mapi (fun i _ -> i) nets) in
+    let rank i =
+      (* lower ranks route first: rip-up priority, then sensitivity, then
+         pin count; the salt rotates ties so retry passes explore different
+         orderings *)
+      let prio = if List.mem nets.(i).net priority then 0 else 1 in
+      let sens = if j.class_of.(i) = Sensitive then 0 else 1 in
+      (prio, sens, (i + salt) mod max 1 (Array.length nets), -List.length pin_nodes.(i))
+    in
+    List.sort (fun a b -> compare (rank a) (rank b)) ids
+  in
+  let wires = ref [] and failed = ref [] in
+  let symmetric_ok = ref 0 in
+  let mirrored_paths : (string, int list) Hashtbl.t = Hashtbl.create 4 in
+  (* symmetry: if net is the second of a pair and its partner routed, try the
+     mirror image about the partner's pin-centroid axis *)
+  let partner_of net =
+    List.fold_left
+      (fun acc (a, b) -> if b = net then Some a else acc)
+      None j.symmetric_pairs
+  in
   let mirror_node node =
     let layer = node / (g.nx * g.ny) in
     let rest = node mod (g.nx * g.ny) in
     let y = rest / g.nx and x = rest mod g.nx in
-    let mx = int_of_float (Float.round ((2.0 *. axis_x) -. float_of_int x)) in
+    let mx = int_of_float (Float.round ((2.0 *. j.axis_x) -. float_of_int x)) in
     if in_bounds g mx y then Some (index g layer mx y) else None
   in
   let route_net id =
@@ -416,7 +448,7 @@ let route_pass ?(config = default_config) ?(symmetric_pairs = []) ~priority ~sal
          List.iter
            (fun target ->
              if !ok then begin
-               match search g ~sources:!tree ~targets:[ target ] ~step_cost:(step_cost id) with
+               match search j g ~id ~sources:!tree ~target with
                | None -> ok := false
                | Some path ->
                  ignore (occupy id path);
@@ -477,12 +509,12 @@ let coupling_on result net =
     (fun acc (a, b, c) -> if a = net || b = net then acc +. c else acc)
     0.0 result.coupling
 
-
-let route ?config ?symmetric_pairs ~cells ~nets () =
+let route ?(config = default_config) ?(symmetric_pairs = []) ~cells ~nets () =
+  let j = prepare config symmetric_pairs cells nets in
   (* rip-up and re-route: nets that failed a pass go first in the next,
      and the tie-break ordering is rotated; keep the best pass seen *)
   let rec attempt k salt priority best =
-    let result = route_pass ?config ?symmetric_pairs ~priority ~salt ~cells ~nets () in
+    let result = route_pass j ~priority ~salt in
     let best =
       match best with
       | Some b when List.length b.failed <= List.length result.failed -> Some b

@@ -12,7 +12,23 @@
       as the mirror image when the mirrored cells are free.
 
     Multi-terminal nets are routed incrementally (each terminal connects to
-    the net's existing tree) with Dijkstra search. *)
+    the net's existing tree) with Dijkstra search.  When a pass leaves
+    nets unrouted, the whole layout is routed again with those nets first,
+    for up to six more passes, and the earliest pass with the fewest
+    failures wins.
+
+    One {!route} call rasterizes the grid once, and every rip-up pass
+    starts from a copy of it.  One search workspace serves every search of
+    the call: distance and predecessor arrays that hold at a node only
+    while the node's generation stamp is the current search's, and a flat
+    binary heap of float keys beside node indices.  A search therefore
+    allocates in proportion to the path it returns, not to the grid or to
+    its expansions.  The heap pops the least key; it compares with a
+    strict [<] and takes the left child before the right on equal keys, so
+    equal-cost candidates pop in one fixed order.  That order decides
+    between equal-cost paths, so routes are deterministic, and changing it
+    moves them.  Each search polls {!Mixsyn_util.Cancel.guard}, so an
+    expired job deadline stops a route between searches. *)
 
 type net_class = Sensitive | Noisy | Neutral
 

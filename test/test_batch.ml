@@ -488,8 +488,11 @@ let test_stage_cache_journal_invariant () =
 let prop_stealing_order_invariant =
   QCheck.Test.make ~name:"work-stealing order never changes a journal record"
     ~count:20
-    QCheck.(triple (int_range 0 100_000) (int_range 1 12) (int_range 2 4))
+    QCheck.(triple (int_range 0 100_000) (int_range 0 11) (int_range 0 2))
     (fun (salt, n, workers) ->
+      (* 1-12 jobs on 2-4 workers, offset so that shrinking toward 0 stays
+         in range *)
+      let n = n + 1 and workers = workers + 2 in
       (* jobs with salt-derived seeds and deliberately skewed costs: the
          busy-work makes some jobs orders of magnitude heavier, so the
          stealing order genuinely varies between runs *)
@@ -617,6 +620,47 @@ let prop_engine_interleavings =
         !cancelled_queued;
       true)
 
+(* a job cancelled while queued gives its queue slot back at once: with the
+   one worker busy and room for one queued job, cancelling that job admits
+   the next submission *)
+let test_cancel_frees_queue_slot () =
+  let release = Atomic.make false in
+  let executor job ~seed =
+    while not (Atomic.get release) do
+      Unix.sleepf 1e-3
+    done;
+    cheap_executor job ~seed
+  in
+  let journal = temp_journal () in
+  let _, engine =
+    Engine.create ~journal ~executor ~timeout_s:None ~retries:0 ~prefilter:true ~capacity:1
+  in
+  let worker = Domain.spawn (fun () -> Engine.work engine 0) in
+  let submit k = Engine.submit engine (engine_job k) in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Engine.close engine;
+      Domain.join worker;
+      Engine.close_journal engine;
+      Sys.remove journal)
+  @@ fun () ->
+  ignore (submit 0);
+  let rec wait n =
+    if Engine.find engine "e0" <> Some Engine.Running then
+      if n = 0 then Alcotest.fail "e0 never started"
+      else begin
+        Unix.sleepf 1e-3;
+        wait (n - 1)
+      end
+  in
+  wait 10_000;
+  Alcotest.(check bool) "e1 queued" true (submit 1 = Engine.Admitted Engine.Queued);
+  Alcotest.(check bool) "queue full" true (submit 2 = Engine.Full);
+  Alcotest.(check bool) "e1 cancelled" true (Engine.cancel engine "e1" = Some Engine.Queued);
+  Alcotest.(check int) "queue depth" 0 (Engine.stats engine).Engine.queued;
+  Alcotest.(check bool) "e2 admitted" true (submit 2 = Engine.Admitted Engine.Queued)
+
 (* --- a real flow under the timeout -------------------------------------- *)
 
 let test_flow_executor_times_out () =
@@ -662,6 +706,8 @@ let () =
       ( "stage-cache",
         [ Alcotest.test_case "journal invariant" `Quick test_stage_cache_journal_invariant;
           QCheck_alcotest.to_alcotest prop_stealing_order_invariant ] );
-      ("engine", [ QCheck_alcotest.to_alcotest prop_engine_interleavings ]);
+      ( "engine",
+        [ QCheck_alcotest.to_alcotest prop_engine_interleavings;
+          Alcotest.test_case "cancel frees queue slot" `Quick test_cancel_frees_queue_slot ] );
       ( "flow",
         [ Alcotest.test_case "cooperative timeout" `Slow test_flow_executor_times_out ] ) ]

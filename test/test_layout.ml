@@ -310,6 +310,114 @@ let test_parasitic_bound_reduces_coupling () =
   if c_bounded > c_plain +. 1e-18 then
     Alcotest.failf "budgeted routing coupled more: %g > %g" c_bounded c_plain
 
+(* the Miller OTA's cells as [test_route_miller_complete]'s first
+   placement attempt leaves them, and its nets *)
+let miller_placed () =
+  let its, nets, sym = items () in
+  (P.realized its (P.place ~seed:23 its sym), nets)
+
+let test_route_allocation_cap () =
+  (* one search workspace per route and a flat heap: this route (72,343
+     expansions, no rip-up) allocates ~0.2e6 words, mostly grid-sized
+     arrays made once per route and once per pass.  Grid-sized dist, prev
+     and target arrays per search and a boxed heap entry per push took
+     ~6.4e6; a single boxed float per expansion would add ~0.22e6.  The
+     grid-sized arrays go straight to the major heap, so count both
+     heaps. *)
+  let cells, nets = miller_placed () in
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  let r = MR.route ~symmetric_pairs:[ ("inp", "inn") ] ~cells ~nets () in
+  let w = words () -. w0 in
+  Alcotest.(check (list string)) "routes completely" [] r.MR.failed;
+  if w > 4e5 then Alcotest.failf "one route allocated %.3g words (cap 4e5)" w
+
+let test_route_polls_deadline () =
+  let cells, nets = miller_placed () in
+  let token = Mixsyn_util.Cancel.create ~timeout_s:0.0 () in
+  match Mixsyn_util.Cancel.with_token token (fun () -> MR.route ~cells ~nets ()) with
+  | exception Mixsyn_util.Cancel.Cancelled -> ()
+  | (_ : MR.result) -> Alcotest.fail "an expired deadline did not stop the router"
+
+(* --- route bits pinned at the closure-based search -------------------------- *)
+
+(* every bit a route reports: each wire's net, rectangles, length and via
+   count, the failed nets, the totals, the coupling entries and the mirror
+   count *)
+let route_bits (r : MR.result) =
+  let f x = Int64.to_string (Int64.bits_of_float x) in
+  let rect (q : G.rect) =
+    String.concat " " [ G.layer_name q.G.layer; f q.G.x0; f q.G.y0; f q.G.x1; f q.G.y1 ]
+  in
+  String.concat "\n"
+    (List.map
+       (fun (w : MR.wire) ->
+         String.concat "|"
+           (w.MR.w_net :: f w.MR.length :: string_of_int w.MR.vias :: List.map rect w.MR.rects))
+       r.MR.wires
+    @ [ String.concat " " r.MR.failed;
+        f r.MR.total_length;
+        string_of_int r.MR.total_vias;
+        String.concat " " (List.map (fun (a, b, c) -> a ^ "/" ^ b ^ "/" ^ f c) r.MR.coupling);
+        string_of_int r.MR.symmetric_ok ])
+
+(* MD5 of [route ()]'s bits and of the grid expansions and rip-up passes
+   it counted *)
+let route_digest route =
+  let module T = Mixsyn_util.Telemetry in
+  let e0 = T.counter "router.grid_expansions" and p0 = T.counter "router.ripup_passes" in
+  let (r : MR.result) = route () in
+  let e = T.counter "router.grid_expansions" - e0 and p = T.counter "router.ripup_passes" - p0 in
+  (r, Digest.to_hex (Digest.string (Printf.sprintf "%s\n%d %d" (route_bits r) e p)))
+
+(* a differential pair laid out symmetrically about x = 20 um with nothing
+   in the way: [inn] is the mirror image of [inp]'s route *)
+let mirrored_pair () =
+  let um = 1e-6 in
+  let pin name net x y =
+    let r = G.rect G.Metal1 ((x -. 0.5) *. um) ((y -. 0.5) *. um) in
+    { Cell.pin_name = name; pin_net = net; pin_rect = r ((x +. 0.5) *. um) ((y +. 0.5) *. um) }
+  in
+  let well =
+    Cell.make "well"
+      [ G.rect G.Nwell 0.0 0.0 (40.0 *. um) (20.0 *. um) ]
+      [ pin "p1" "inp" 10.0 5.0; pin "p2" "inp" 12.0 15.0; pin "n1" "inn" 30.0 5.0;
+        pin "n2" "inn" 28.0 15.0 ]
+  in
+  let net name = { MR.net = name; n_class = MR.Sensitive; coupling_budget = None } in
+  MR.route ~symmetric_pairs:[ ("inp", "inn") ] ~cells:[ well ] ~nets:[ net "inp"; net "inn" ] ()
+
+(* MD5 digests captured from the router this library had before its search
+   workspace: the closure-taking Dijkstra over a boxed binary heap.  Each
+   case pins a route's every result field plus its expansion and rip-up
+   counts; they must not move. *)
+let test_route_digests () =
+  let koan ?coupling_budgets seed nl () = (CF.koan ~seed ?coupling_budgets nl).CF.route in
+  List.iter
+    (fun (t, expected) ->
+      let nl = List.hd (Fixtures.topology_sizings t ~count:1) in
+      let routes = List.map (fun seed -> route_digest (koan seed nl)) [ 13; 14; 15; 16 ] in
+      Alcotest.(check string) t.Mixsyn_circuit.Template.t_name expected
+        (Fixtures.combine_digests (List.map snd routes));
+      (* the folded cascode at KOAN seed 16 keeps a net no placement routes *)
+      if t == Mixsyn_circuit.Topology.folded_cascode then
+        Alcotest.(check int) "failed nets at seed 16" 1
+          (List.length (fst (List.nth routes 3)).MR.failed))
+    Mixsyn_circuit.Topology.
+      [ (ota_5t, "fd2fd092045b43523502babad973b2bf");
+        (miller_ota, "a5f6fa20c51e89ea9cfe5e53f3cd6e2f");
+        (folded_cascode, "972c4ebbb8ddecf5c0f52aa1ae588631");
+        (comparator, "2a188eb72b8d7d8742fbf4f80c6c3729") ];
+  (* a coupling budget scales the adjacency penalty by 8 *)
+  Alcotest.(check string) "coupling budget" "33a4cccd04fe628c5a64901967edb35a"
+    (snd (route_digest (koan ~coupling_budgets:[ ("o1", 1e-18) ] 23 (miller_netlist ()))));
+  let r, d = route_digest mirrored_pair in
+  Alcotest.(check int) "pair mirrored" 1 r.MR.symmetric_ok;
+  Alcotest.(check string) "mirrored pair" "682c284da232cc7602e4c1ce4e3b8b57" d
+
 (* --- channel routing --------------------------------------------------------------- *)
 
 let channel_pins =
@@ -572,7 +680,10 @@ let () =
         [ Alcotest.test_case "miller complete" `Quick test_route_miller_complete;
           Alcotest.test_case "coupling reported" `Quick test_route_coupling_reported;
           Alcotest.test_case "class compatibility" `Quick test_net_class_compatibility;
-          Alcotest.test_case "parasitic bounds" `Quick test_parasitic_bound_reduces_coupling ] );
+          Alcotest.test_case "parasitic bounds" `Quick test_parasitic_bound_reduces_coupling;
+          Alcotest.test_case "route allocation cap" `Quick test_route_allocation_cap;
+          Alcotest.test_case "route polls its deadline" `Quick test_route_polls_deadline ] );
+      ("bit-identity", [ Alcotest.test_case "route digests" `Quick test_route_digests ]);
       ( "channel-router",
         [ Alcotest.test_case "density" `Quick test_channel_density;
           Alcotest.test_case "routes all" `Quick test_channel_routes_all;

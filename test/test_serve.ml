@@ -141,9 +141,15 @@ let test_conn_oversized () =
 
 (* --- service helpers ----------------------------------------------------- *)
 
+(* run [f] against a live server, drain it, and return [f]'s value, the
+   drain stats and the journal's bytes; a journal this helper made is
+   removed on the way out, also when [f] raises *)
 let with_server ?(workers = 2) ?(tweak = fun c -> c) ?(executor = cheap_executor)
     ?journal f =
+  let made = Option.is_none journal in
   let journal = match journal with Some j -> j | None -> temp_journal () in
+  Fun.protect ~finally:(fun () -> if made && Sys.file_exists journal then Sys.remove journal)
+  @@ fun () ->
   let cfg = tweak { (Serve.default_config ~journal) with Serve.workers } in
   let slot = Atomic.make None in
   let server = Domain.spawn (fun () -> Serve.run ~executor ~on_ready:(fun h -> Atomic.set slot (Some h)) cfg) in
@@ -162,10 +168,21 @@ let with_server ?(workers = 2) ?(tweak = fun c -> c) ?(executor = cheap_executor
   match f h with
   | v ->
     let stats = finish () in
-    (v, stats, journal)
+    (v, stats, read_file journal)
   | exception exn ->
     ignore (finish ());
     raise exn
+
+(* the records of a journal's bytes *)
+let journal_records bytes =
+  List.filter_map
+    (fun line ->
+      if line = "" then None
+      else
+        match Result.bind (Json.parse line) Batch.record_of_json with
+        | Ok r -> Some r
+        | Error m -> Alcotest.failf "journal line %S: %s" line m)
+    (String.split_on_char '\n' bytes)
 
 let call h meth path body =
   match
@@ -225,8 +242,7 @@ let test_submit_status_result () =
   Alcotest.(check int) "accepted" 1 stats.Serve.accepted;
   Alcotest.(check int) "finished" 1 stats.Serve.finished;
   (* drained journal holds exactly the one record *)
-  let records, _ = Batch.read_journal journal in
-  Alcotest.(check int) "journal records" 1 (List.length records)
+  Alcotest.(check int) "journal records" 1 (List.length (journal_records journal))
 
 let test_error_taxonomy () =
   let (), _, _ =
@@ -356,7 +372,7 @@ let test_queue_full_and_cancel_queued () =
   Alcotest.(check int) "queue-full rejection counted" 1 stats.Serve.rejected_queue_full;
   Alcotest.(check int) "cancelled counted" 1 stats.Serve.cancelled;
   (* journal: slow (completed) then waiting (cancelled), in submission order *)
-  match Batch.read_journal journal |> fst with
+  match journal_records journal with
   | [ a; b ] ->
     Alcotest.(check string) "first line" "slow" a.Batch.rec_id;
     Alcotest.(check string) "second line" "waiting" b.Batch.rec_id;
@@ -406,19 +422,18 @@ let test_busy_per_session () =
       List.fold_left (fun acc (_, v) -> acc +. Option.value ~default:nan (Json.to_float v)) 0.0 l
     | _ -> Alcotest.fail "metrics lacks worker_busy_s"
   in
-  let first, _, j1 =
+  let first, _, _ =
     with_server ~workers:1 ~executor:(spin_executor ~busy_s:0.4 ()) (fun h ->
         ignore (post h "/jobs" {|{"id": "long"}|});
         ignore (poll_done h "long");
         busy_sum h)
   in
-  let second, _, j2 =
+  let second, _, _ =
     with_server ~workers:1 (fun h ->
         ignore (post h "/jobs" {|{"id": "short"}|});
         ignore (poll_done h "short");
         busy_sum h)
   in
-  List.iter Sys.remove [ j1; j2 ];
   if first < 0.4 then Alcotest.failf "first server reports %.3f s for a 0.4 s job" first;
   if second >= 0.2 then
     Alcotest.failf "second server reports %.3f s busy for one cheap job" second
@@ -447,7 +462,7 @@ let batch_reference () =
 
 let test_journal_identity_with_batch () =
   let reference = batch_reference () in
-  let (), _, journal =
+  let (), _, served =
     with_server (fun h ->
         List.iter
           (fun line ->
@@ -462,8 +477,6 @@ let test_journal_identity_with_batch () =
             | Error m -> Alcotest.fail m)
           identity_manifest)
   in
-  let served = read_file journal in
-  Sys.remove journal;
   Alcotest.(check string) "serve journal byte-identical to batch" reference served
 
 (* kill-mid-request resume: the same torn-journal machinery batch resume
@@ -486,7 +499,7 @@ let test_resume_from_torn_journal () =
     note ();
     cheap_executor job ~seed
   in
-  let (), stats, journal =
+  let (), stats, resumed =
     with_server ~journal ~executor:counting_executor (fun h ->
         List.iter
           (fun line ->
@@ -504,7 +517,6 @@ let test_resume_from_torn_journal () =
   Alcotest.(check int) "one record resumed" 1 stats.Serve.resumed;
   Alcotest.(check bool) "resumed job not re-executed" false
     (List.mem "a" (Atomic.get executed));
-  let resumed = read_file journal in
   Sys.remove journal;
   Alcotest.(check string) "torn journal resumes byte-identical" reference resumed
 
