@@ -61,3 +61,19 @@ let dc_bits nl =
 let tran_bits (nl, op) =
   let r = Mixsyn_engine.Tran.solve ~tech nl op ~t_stop:12e-6 ~dt:6e-9 in
   bits_digest (List.concat_map Array.to_list (Array.to_list r.Mixsyn_engine.Tran.samples))
+
+(* [f ()]'s result and the words it allocated on both heaps: minor plus
+   major minus promoted, so a promoted word counts once.  [Gc.quick_stat]'s
+   minor count only moves at a minor collection, so the minor heap is
+   flushed before each reading.  The count is then exact, whatever the young
+   heap held before the call, but for the few words a reading allocates *)
+let allocated_words f =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  let r = f () in
+  let w = words () -. w0 in
+  (r, w)

@@ -80,6 +80,71 @@ let test_floorplan_victims_reported () =
   Alcotest.(check int) "noise entry per victim" (List.length victims)
     (List.length fp.FP.victim_noise)
 
+let test_floorplan_allocation_cap () =
+  (* one flat evaluator per call: the 76,160 moves at seed 5 allocate
+     ~4.7e6 words, mostly each proposal's copy of the state array and the
+     table that orders the wirelength sum.  The closure-stack evaluator
+     with list placements and a boxed bounding box per net took ~71e6. *)
+  let _, w = Fixtures.allocated_words (fun () -> FP.floorplan ~seed:5 blocks) in
+  if w > 7e6 then Alcotest.failf "one floorplan allocated %.3g words (cap 7e6)" w
+
+(* --- floorplan bits pinned at the closure-based evaluator ------------------ *)
+
+(* every bit a floorplan reports: each placement's block name, corner and
+   rotation in order, the chip size, area and wirelength, and each victim's
+   name and noise *)
+let floorplan_bits (r : FP.result) =
+  let f x = Int64.to_string (Int64.bits_of_float x) in
+  Digest.to_hex
+    (Digest.string
+       (String.concat ","
+          (List.concat_map
+             (fun (p : FP.placement) ->
+               [ p.FP.block.B.b_name; f p.FP.x; f p.FP.y; string_of_bool p.FP.rotated ])
+             r.FP.placements
+          @ List.map f [ r.FP.chip_w; r.FP.chip_h; r.FP.fp_area; r.FP.fp_wirelength ]
+          @ List.concat_map (fun (name, v) -> [ name; f v ]) r.FP.victim_noise)))
+
+(* MD5 digests captured from the floorplanner this library had before its
+   flat evaluator: the closure-stack slicing tree, a Hashtbl of boxed
+   bounding boxes for the wirelength and placement lists for the noise.
+   Seeds 1-8 at noise weights 0, 1 and 2, then one short custom schedule
+   and one two-block chip; they must not move. *)
+let floorplan_digests =
+  [ "c6f77503849caa7b704d097ac3f8f8bf"; "52766f30b58d8330e9facdfeace2991b";
+    "ac7ee59ea63659ef1780e8562b42da60"; "05a40fd3645c5e320b3be1b0d0710c70";
+    "4fd8c85c61c88ac4c9b7a81e024992d8"; "83f6107e933797f71f2ddee076381d2b";
+    "adf6a495c86afe2dfe0868acf0e3866c"; "3cb5f34095dd3c2e9cc435f52f0ba87f";
+    "f8ee9f5682e5b0e21c8190bd49da4070"; "519282c045fd673051efb9855fe501d5";
+    "6da0f843e47c3aba02e43dbabc9c890b"; "0a225e99efb345e17f033b55d792a03a";
+    "244a67839e27323da94eb880ed07a27b"; "0f333ceb2c655ea440377d7245636635";
+    "5b960a2cc3469d8fc41a04a6a35bc992"; "3a5ff1838f2136949db0be6d5318beb7";
+    "bc91fd99c94ec24af39097014845d83e"; "173163810dc54834b38eb21d17c19136";
+    "284a27a1dc735401e3d112e878b37a63"; "5759448110668ea459bd3beada470118";
+    "52a32c4adade5e319de2c277218658ff"; "fca508969d271bd90e31a7513c7059e3";
+    "88c80e93e442ab03bf0132586ad0d633"; "330af96be9f2f0ed1163d3e1dc43f59b";
+    "410a99568df5c014be2e63a91c0ce3aa"; "1832c19326cb77ee2f7f6e23051c4dfc" ]
+
+let test_floorplan_digests () =
+  let got =
+    List.concat_map
+      (fun seed ->
+        List.map
+          (fun noise_weight -> floorplan_bits (FP.floorplan ~seed ~noise_weight blocks))
+          [ 0.0; 1.0; 2.0 ])
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+    @ [ floorplan_bits
+          (FP.floorplan ~seed:3
+             ~schedule:
+               { Mixsyn_opt.Anneal.t_start = 1.0; t_end = 1e-2; cooling = 0.8;
+                 moves_per_stage = 40 }
+             blocks);
+        floorplan_bits
+          (FP.floorplan ~seed:1
+             (List.filter (fun b -> b.B.b_name = "dsp-core" || b.B.b_name = "adc") blocks)) ]
+  in
+  Alcotest.(check (list string)) "floorplan bits" floorplan_digests got
+
 (* --- wren ------------------------------------------------------------------ *)
 
 let fp = FP.floorplan ~seed:5 blocks
@@ -249,7 +314,9 @@ let () =
           Alcotest.test_case "area bound" `Quick test_floorplan_area_bound;
           Alcotest.test_case "blocks inside chip" `Quick test_floorplan_all_blocks_inside;
           Alcotest.test_case "noise-aware beats blind" `Quick test_noise_aware_beats_blind;
-          Alcotest.test_case "victims reported" `Quick test_floorplan_victims_reported ] );
+          Alcotest.test_case "victims reported" `Quick test_floorplan_victims_reported;
+          Alcotest.test_case "floorplan allocation cap" `Quick test_floorplan_allocation_cap ] );
+      ("bit-identity", [ Alcotest.test_case "floorplan digests" `Quick test_floorplan_digests ]);
       ( "wren",
         [ Alcotest.test_case "blind routes all" `Quick test_wren_routes_everything_blind;
           Alcotest.test_case "mode ordering" `Quick test_wren_modes_ordering;

@@ -318,22 +318,19 @@ let miller_placed () =
 
 let test_route_allocation_cap () =
   (* one search workspace per route and a flat heap: this route (72,343
-     expansions, no rip-up) allocates ~0.2e6 words, mostly grid-sized
+     expansions, no rip-up) allocates 0.131e6 words, mostly grid-sized
      arrays made once per route and once per pass.  Grid-sized dist, prev
      and target arrays per search and a boxed heap entry per push took
-     ~6.4e6; a single boxed float per expansion would add ~0.22e6.  The
+     ~6.4e6; even one word per expansion would add ~0.07e6.  The
      grid-sized arrays go straight to the major heap, so count both
      heaps. *)
   let cells, nets = miller_placed () in
-  let words () =
-    let s = Gc.quick_stat () in
-    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  let r, w =
+    Fixtures.allocated_words (fun () ->
+        MR.route ~symmetric_pairs:[ ("inp", "inn") ] ~cells ~nets ())
   in
-  let w0 = words () in
-  let r = MR.route ~symmetric_pairs:[ ("inp", "inn") ] ~cells ~nets () in
-  let w = words () -. w0 in
   Alcotest.(check (list string)) "routes completely" [] r.MR.failed;
-  if w > 4e5 then Alcotest.failf "one route allocated %.3g words (cap 4e5)" w
+  if w > 1.5e5 then Alcotest.failf "one route allocated %.3g words (cap 1.5e5)" w
 
 let test_route_polls_deadline () =
   let cells, nets = miller_placed () in

@@ -60,6 +60,55 @@ let test_rng_split_independent () =
   let b = Array.init 10 (fun _ -> Rng.int child 1000) in
   if a = b then Alcotest.fail "split streams identical"
 
+(* every output kind the generator has, for one seed: [int] at small and
+   huge bounds, [float], [gauss], [bool], a [split] child's stream, a
+   [copy]'s stream beside its source's, and a [shuffle] *)
+let rng_outputs seed =
+  let rng = Rng.create seed in
+  let f x = Int64.to_string (Int64.bits_of_float x) in
+  let ints r =
+    List.map (fun bound -> string_of_int (Rng.int r bound)) [ 1; 2; 3; 17; 1000; 1 lsl 40; max_int ]
+  in
+  let first = ints rng in
+  let floats = List.init 8 (fun k -> f (Rng.float rng (0.37 *. float_of_int (k + 1)))) in
+  let gauss = List.init 6 (fun _ -> f (Rng.gauss rng)) in
+  let bools = List.init 8 (fun _ -> string_of_bool (Rng.bool rng)) in
+  let child = Rng.split rng in
+  let from_child = ints child in
+  let after_split = ints rng in
+  let dup = Rng.copy rng in
+  let from_copy = ints dup in
+  let after_copy = ints rng in
+  let a = Array.init 12 Fun.id in
+  Rng.shuffle rng a;
+  let shuffled = Array.to_list (Array.map string_of_int a) in
+  Digest.to_hex
+    (Digest.string
+       (String.concat ","
+          (List.concat
+             [ first; floats; gauss; bools; from_child; after_split; from_copy; after_copy;
+               shuffled ])))
+
+(* captured from the generator that kept its state in a boxed [int64] *)
+let test_rng_stream_digests () =
+  Alcotest.(check (list string)) "output bits"
+    [ "495575521fba2166d5940e582d5ecdde"; "63bc1f9aca374e3b551d6a4551842253";
+      "4b3e820ee384e4297b87b9c237acf6a6"; "e8b355d54c6ce81dc1da3cc8ff58bf86";
+      "af7023bd0cf8b7ce4a314bec341ae1ba" ]
+    (List.map rng_outputs [ 0; 1; -1; max_int; 1996 ])
+
+(* the state is read and written in place and the splitmix step is
+   inlined, so an [int] draw allocates nothing; a boxed [int64] state took
+   6 words a draw *)
+let test_rng_int_allocates_nothing () =
+  let rng = Rng.create 1996 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    ignore (Rng.int rng 1000)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words <> 0.0 then Alcotest.failf "100000 Rng.int draws allocated %.0f minor words" words
+
 (* --- matrices --------------------------------------------------------- *)
 
 let random_system rng n =
@@ -1012,7 +1061,9 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gauss_moments;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
-          Alcotest.test_case "split independent" `Quick test_rng_split_independent ] );
+          Alcotest.test_case "split independent" `Quick test_rng_split_independent;
+          Alcotest.test_case "stream digests" `Quick test_rng_stream_digests;
+          Alcotest.test_case "int allocates nothing" `Quick test_rng_int_allocates_nothing ] );
       ( "matrix",
         [ Alcotest.test_case "solve roundtrip" `Quick test_real_solve_roundtrip;
           Alcotest.test_case "identity" `Quick test_real_identity;
